@@ -27,9 +27,9 @@ from .analyzer import (
 from .config import Config, ConfigError, load_config
 from .evaluation import (
     GroundTruthError,
+    canonical,
     load_ground_truth,
     score,
-    templates_equal,
     time_online,
 )
 from .matcher import DuplicateTemplate, compile_repository, run_stream
@@ -236,15 +236,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
     report = score(parsed, truth)
 
     if args.log_file:
-        unique: list[TemplateBody] = []
+        unique: dict[TemplateBody, TemplateBody] = {}
         for body in parsed:
-            if not any(templates_equal(body, seen) for seen in unique):
-                unique.append(body)
-        compiled = compile_repository([Template(body=b) for b in unique],
+            unique.setdefault(canonical(body), body)
+        compiled = compile_repository([Template(body=b) for b in unique.values()],
                                       config.allow_empty_inner)
         report.timing = time_online(compiled, _read_lines(args.log_file),
                                     repetitions=args.repetitions,
-                                    tree_factory=config.make_tree)
+                                    tree_factory=config.make_tree,
+                                    header_pattern=config.header_pattern)
 
     print(f"precision {report.precision:.3f}  recall {report.recall:.3f}  "
           f"f1 {report.f1:.3f}")

@@ -25,7 +25,6 @@ class GroundTruthError(Exception):
 @dataclass(frozen=True)
 class GroundTruth:
     templates: tuple[TemplateBody, ...]
-    labels: dict[int, int] | None = None
 
 
 @dataclass
@@ -37,7 +36,7 @@ class EvalReport:
     timing: float | None = None
 
 
-def _canonical(body: TemplateBody) -> TemplateBody:
+def canonical(body: TemplateBody) -> TemplateBody:
     """Collapse whitespace-only constants sandwiched between wildcards.
 
     Equality treats "a <.*> <.*> b" and "a <.*> b" as the same template:
@@ -57,7 +56,7 @@ def _canonical(body: TemplateBody) -> TemplateBody:
 
 def templates_equal(a: TemplateBody, b: TemplateBody) -> bool:
     """Strict equality: any mistake in static text or variable bounds counts."""
-    return _canonical(a) == _canonical(b)
+    return canonical(a) == canonical(b)
 
 
 def load_ground_truth(path: str | Path) -> GroundTruth:
@@ -106,12 +105,13 @@ def score(parsed: list[TemplateBody], truth: GroundTruth) -> EvalReport:
 
 
 def time_online(repo: CompiledRepository, lines: list[str], repetitions: int = 10,
-                tree_factory=ClusterTree) -> float:
+                tree_factory=ClusterTree, header_pattern: str | None = None) -> float:
     """Average wall-clock seconds for one full match pass over ``lines``.
 
     Each repetition runs against a fresh cluster tree so black-box routing
-    cost is included without cross-repetition interference. Compilation of
-    the repository happens before this call and is not measured.
+    cost is included without cross-repetition interference. Lines lose the
+    ``header_pattern`` prefix first, as in ``parse``. Compilation of the
+    repository happens before this call and is not measured.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
@@ -119,6 +119,6 @@ def time_online(repo: CompiledRepository, lines: list[str], repetitions: int = 1
     for _ in range(repetitions):
         tree = tree_factory() if tree_factory is not None else None
         start = time.perf_counter()
-        run_stream(repo, lines, tree)
+        run_stream(repo, lines, tree, header_pattern)
         elapsed += time.perf_counter() - start
     return elapsed / repetitions

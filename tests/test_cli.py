@@ -6,6 +6,7 @@ import shutil
 
 import pytest
 
+from logsmith import evaluation
 from logsmith.cli import EXIT_FATAL, EXIT_OK, EXIT_PARTIAL, main
 from logsmith.templates import load_repository
 
@@ -206,6 +207,36 @@ def test_eval_with_timing(repo_path, tmp_path, capsys):
     assert code == EXIT_OK
     out = capsys.readouterr().out
     assert "online parsing time" in out and "2 runs" in out
+
+
+def test_eval_timing_runs_the_parse_workload(tmp_path, monkeypatch, capsys):
+    # the timed pass strips the header as parse does, and runs against the
+    # parsed templates deduplicated up to equality, first occurrence kept
+    passes = []
+    run_stream = evaluation.run_stream
+
+    def recording_run_stream(repo, lines, tree=None, header_pattern=None):
+        results, counts = run_stream(repo, lines, tree, header_pattern)
+        passes.append(([e.template.body.render() for e in repo.entries], counts))
+        return results, counts
+
+    monkeypatch.setattr(evaluation, "run_stream", recording_run_stream)
+    parsed = tmp_path / "parsed.txt"
+    parsed.write_text("a <.*> <.*> b\nqueue empty\na <.*> b\nqueue empty\n",
+                      encoding="utf-8")
+    truth = tmp_path / "truth.txt"
+    truth.write_text("a <.*> b\nqueue empty\n", encoding="utf-8")
+    log = tmp_path / "app.log"
+    log.write_text("2024-03-01 12:00:00 INFO a 1 2 b\n"
+                   "2024-03-01 12:00:01 WARN queue empty\n", encoding="utf-8")
+    code = main(["eval", str(parsed), str(truth), "--log-file", str(log),
+                 "--repetitions", "2",
+                 "--header-pattern", r"^\d{4}-\d{2}-\d{2} \S+ \w+ "])
+    assert code == EXIT_OK
+    assert len(passes) == 2
+    for templates, counts in passes:
+        assert sorted(templates) == ["a <.*> <.*> b", "queue empty"]
+        assert counts.matched == 2 and counts.routed == 0
 
 
 def test_eval_bad_truth_is_fatal(tmp_path, capsys):

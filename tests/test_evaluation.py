@@ -12,6 +12,7 @@ from logsmith.evaluation import (
     templates_equal,
     time_online,
 )
+from logsmith.blackbox import ClusterTree
 from logsmith.matcher import compile_repository
 from logsmith.templates import Template, TemplateBody
 
@@ -205,3 +206,20 @@ def test_time_online_excludes_compilation():
     first = time_online(repo, lines, repetitions=3)
     second = time_online(repo, lines, repetitions=3)
     assert first < 0.5 and second < 0.5
+
+
+def test_time_online_strips_the_header():
+    repo = _timing_repo(5)
+    lines = [f"2024-03-01 12:00:0{i} INFO stage {i} x done\n" for i in range(5)]
+    trees = []
+
+    def recording_tree():
+        trees.append(ClusterTree())
+        return trees[-1]
+
+    time_online(repo, lines, repetitions=2, tree_factory=recording_tree,
+                header_pattern=r"^\S+ \S+ \w+ ")
+    assert len(trees) == 2 and not any(tree.clusters for tree in trees)
+    # without the header pattern every line misses and is clustered
+    time_online(repo, lines, repetitions=1, tree_factory=recording_tree)
+    assert trees[-1].clusters

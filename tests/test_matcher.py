@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logsmith.blackbox import ClusterTree
 from logsmith.matcher import (
@@ -13,7 +16,7 @@ from logsmith.matcher import (
     report_counts,
     run_stream,
 )
-from logsmith.templates import Template, TemplateBody
+from logsmith.templates import WILD, Template, TemplateBody
 
 
 def _template(text: str, **kwargs) -> Template:
@@ -187,3 +190,81 @@ def test_empty_repository_routes_everything():
     assert counts.matched == 0
     assert counts.routed == 2
     assert len(tree.clusters) == 2
+
+
+# Small alphabet: whitespace, the newline a capture may not hold, and the
+# characters of the wildcard token, so constants overlap and repeat often.
+_TEXT = st.text(alphabet="ab \n<.*>", max_size=6)
+_BODIES = st.lists(st.one_of(st.just(WILD), _TEXT), max_size=6).map(
+    TemplateBody.from_segments)
+
+
+@st.composite
+def _repository_and_messages(draw):
+    bodies = list(dict.fromkeys(draw(st.lists(_BODIES, max_size=8))))
+    messages = draw(st.lists(_TEXT, max_size=4))
+    messages += draw(st.lists(st.text(alphabet=" \t\n", max_size=3), max_size=2))
+    for body in draw(st.lists(st.sampled_from(bodies), max_size=4)) if bodies else ():
+        fills = iter(draw(st.lists(_TEXT, min_size=len(body.segments),
+                                   max_size=len(body.segments))))
+        messages.append("".join(next(fills) if s is WILD else s
+                                for s in body.segments))
+    return bodies, messages
+
+
+def _reference(repo, message: str):
+    """A linear ``compile_body(...).fullmatch`` scan in compile order."""
+    for entry in repo.entries:
+        hit = compile_body(entry.template.body,
+                           repo.allow_empty_inner).fullmatch(message.strip())
+        if hit is not None:
+            return entry.template_id, hit.groups()
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(_repository_and_messages(), st.booleans())
+def test_scan_agrees_with_regex_reference(case, allow_empty_inner):
+    bodies, messages = case
+    repo = compile_repository([Template(body=b) for b in bodies],
+                              allow_empty_inner=allow_empty_inner)
+    for message in messages:
+        result = match_line(repo, message)
+        got = (result.template_id, result.captures) if result.matched else None
+        assert got == _reference(repo, message), (message, bodies)
+
+
+@pytest.mark.parametrize("texts, message, allow_empty_inner", [
+    (["a<.*>b"], "ab", False),  # inner wildcard needs a character
+    (["a<.*>b"], "ab", True),
+    (["ab<.*>ba"], "aba", True),  # prefix and suffix may not overlap
+    (["abc"], "abcabc", False),
+    (["<.*>"], "", False),
+    (["<.*>x<.*>"], "x", False),
+    (["<.*> b"], "a\nc b", False),  # no capture holds a newline
+    (["a\n<.*>"], "a\nb", False),  # a constant may
+    (["a <.*> b <.*>"], "a x b b y b", False),  # leftmost placement
+    (["a<.*>b<.*>c"], "abbxc", False),  # ... after the inner minimum
+    (["<.*> b <.*> b"], "a b b b", False),
+    (["x <.*>", "<.*> y", "<.*> z <.*>"], "x z y", False),
+    (["x <.*>", "x y <.*>", "<.*> z"], "x y z", False),
+])
+def test_scan_corner_cases_agree_with_regex_reference(texts, message,
+                                                      allow_empty_inner):
+    repo = _repo(*texts, allow_empty_inner=allow_empty_inner)
+    result = match_line(repo, message)
+    got = (result.template_id, result.captures) if result.matched else None
+    assert got == _reference(repo, message)
+
+
+def test_pathological_line_misses_in_bounded_time():
+    # the lazy regex tries every placement of the three inner constants,
+    # O(n^4) on this line (minutes); the scan places each once, then
+    # rejects the newline in the last capture
+    repo = _repo("start <.*> k1 <.*> k1 <.*> k1 <.*> end")
+    line = "start" + " k1" * 533 + " \n end"
+    assert len(line) > 1600
+    started = time.perf_counter()
+    result = match_line(repo, line)
+    assert time.perf_counter() - started < 0.010
+    assert not result.matched
