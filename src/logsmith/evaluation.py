@@ -10,6 +10,7 @@ repetitions, with repository compilation excluded.
 from __future__ import annotations
 
 import time
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -85,16 +86,17 @@ def score(parsed: list[TemplateBody], truth: GroundTruth) -> EvalReport:
 
     recall = matched / |truth|, precision = matched / |parsed|; an empty
     side scores 0 on its metric. Duplicate identical templates pair at
-    most once each (multiset semantics).
+    most once each (multiset semantics): each parsed template, in order,
+    takes the lowest-indexed unpaired truth template equal to it.
     """
-    unmatched = list(range(len(truth.templates)))
+    waiting: dict[TemplateBody, deque[int]] = defaultdict(deque)
+    for truth_index, body in enumerate(truth.templates):
+        waiting[canonical(body)].append(truth_index)
     pairs: list[tuple[int, int]] = []
     for parsed_index, body in enumerate(parsed):
-        for position, truth_index in enumerate(unmatched):
-            if templates_equal(body, truth.templates[truth_index]):
-                pairs.append((parsed_index, truth_index))
-                del unmatched[position]
-                break
+        queue = waiting.get(canonical(body))
+        if queue:
+            pairs.append((parsed_index, queue.popleft()))
     matched = len(pairs)
     precision = matched / len(parsed) if parsed else 0.0
     recall = matched / len(truth.templates) if truth.templates else 0.0

@@ -193,7 +193,7 @@ def compile_repository(templates: list[Template],
         floating=tuple(e for e in entries if not e.prefix and not e.suffix))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MatchResult:
     log_line: str
     matched: bool

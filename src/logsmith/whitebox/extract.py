@@ -84,7 +84,7 @@ def extract_unit(entry: ProjectFile, project: dict[str, ProjectFile],
 
     result.prompt = build_prompt(_java_code(entry, project, enumerations), report_text)
     if gateway is None:
-        gateway = make_gateway(gateway_config)
+        gateway = make_gateway(gateway_config, budget, builtin_methods)
     try:
         result.raw_response = invoke_gateway(result.prompt, gateway_config, gateway)
     except GatewayError as exc:
@@ -128,7 +128,7 @@ def extract_project(files: list[ProjectFile], gateway=None, *,
     graph = build_call_graph([f.unit for f in files])
     project = {f.unit.fqn: f for f in files}
     if gateway is None:
-        gateway = make_gateway(gateway_config)
+        gateway = make_gateway(gateway_config, budget, builtin_methods)
 
     def run_one(entry: ProjectFile) -> UnitExtraction:
         return extract_unit(entry, project, graph, gateway,

@@ -13,6 +13,14 @@ from dataclasses import dataclass
 
 import requests
 
+from ..analyzer import (
+    DEFAULT_BUILTIN_METHODS,
+    PathBudget,
+    build_call_graph,
+    enumerate_paths,
+    find_log_calls,
+    parse_source,
+)
 from ..templates import TemplateBody
 from .prompt import PromptBundle
 from .responses import MalformedResponse, parse_response, render_records, ExtractedTemplate
@@ -110,11 +118,18 @@ class MockGateway:
     built-in call, unknown call and ``{}`` placeholder becomes a wildcard
     — exactly one record per enumerated path. Verifier prompts are
     answered "yes" when the template keeps at least one alphanumeric
-    constant character, "no" otherwise.
+    constant character, "no" otherwise. Paths are enumerated under the
+    same budget and built-in method names as the analysis that wrote the
+    prompt.
     """
 
     CODE_MARKER = "- java_code: "
     REPORT_MARKER = "\n- static_analysis_report:"
+
+    def __init__(self, budget: PathBudget = PathBudget(),
+                 builtin_methods=DEFAULT_BUILTIN_METHODS):
+        self.budget = budget
+        self.builtin_methods = builtin_methods
 
     def send(self, prompt: str) -> str:
         if prompt.startswith(VERIFIER_PREFIX):
@@ -130,13 +145,6 @@ class MockGateway:
         return "yes" if keeps_content else "no"
 
     def _extract(self, prompt: str) -> str:
-        from ..analyzer import (
-            build_call_graph,
-            enumerate_paths,
-            find_log_calls,
-            parse_source,
-        )
-
         java_code = self._java_code(prompt)
         units = []
         for index, chunk in enumerate(_split_units(java_code)):
@@ -145,7 +153,8 @@ class MockGateway:
         records = []
         for unit in units:
             for site in find_log_calls(unit):
-                enumeration = enumerate_paths(site, graph)
+                enumeration = enumerate_paths(site, graph, self.budget,
+                                              self.builtin_methods)
                 for path in enumeration.paths:
                     records.append(ExtractedTemplate(
                         method=f"{unit.fqn}.{site.enclosing_method}",
@@ -176,9 +185,11 @@ def _split_units(java_code: str) -> list[str]:
     return chunks
 
 
-def make_gateway(config: GatewayConfig):
+def make_gateway(config: GatewayConfig, budget: PathBudget = PathBudget(),
+                 builtin_methods=DEFAULT_BUILTIN_METHODS):
+    """The gateway for ``config``; the mock analyzes under ``budget``."""
     if config.endpoint.startswith("mock"):
-        return MockGateway()
+        return MockGateway(budget, builtin_methods)
     return HttpGateway(config)
 
 

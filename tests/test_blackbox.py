@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logsmith.blackbox import CLUSTER_WILDCARD, ClusterTree, EmptyMessage
-from logsmith.templates import WILD
+from logsmith.templates import WILD, WILDCARD_TOKEN
 
 
 def test_connect_failed_example():
@@ -181,3 +184,96 @@ def test_wildcard_monotonicity_on_random_input():
         before = wildcard_positions.get(cluster_id, set())
         assert before <= now  # generalization never reverts
         wildcard_positions[cluster_id] = now
+
+
+class _ScanTree:
+    """Brute-force reference: the same routing, then a scan of the leaf's
+    clusters by similarity, the first strictly best one winning."""
+
+    def __init__(self, depth: int, sim_threshold: float, max_children: int):
+        self.depth = depth
+        self.sim_threshold = sim_threshold
+        self.max_children = max_children
+        self.root: dict = {}
+        self.clusters: list[list] = []  # [cluster_id, template_tokens, match_count]
+
+    def ingest(self, message: str) -> tuple[int, str]:
+        tokens = message.split()
+        node = self.root.setdefault(len(tokens), ({}, []))
+        for token in tokens[:self.depth - 1]:
+            children = node[0]
+            if any(ch.isdigit() for ch in token):
+                key = CLUSTER_WILDCARD
+            elif (token in children or len(children) - (CLUSTER_WILDCARD in children)
+                  < self.max_children):
+                key = token
+            else:
+                key = CLUSTER_WILDCARD
+            node = children.setdefault(key, ({}, []))
+        best, best_sim = None, -1.0
+        for cluster in node[1]:
+            sim = _similarity(cluster[1], tokens)
+            if sim > best_sim:
+                best, best_sim = cluster, sim
+        if best is not None and best_sim >= self.sim_threshold:
+            best[1] = [ours if ours == theirs else CLUSTER_WILDCARD
+                       for ours, theirs in zip(best[1], tokens)]
+            best[2] += 1
+        else:
+            best = [len(self.clusters) + 1, list(tokens), 1]
+            node[1].append(best)
+            self.clusters.append(best)
+        return best[0], " ".join(best[1])
+
+
+def _similarity(template_tokens: list[str], tokens: list[str]) -> float:
+    same = sum(1 for ours, theirs in zip(template_tokens, tokens)
+               if ours == theirs or ours == CLUSTER_WILDCARD)
+    return same / len(tokens)
+
+
+_TOKENS = st.sampled_from(("a", "b", "c", CLUSTER_WILDCARD, "x1", "7"))
+# mostly one length, so that messages meet in a few crowded leaves
+_MESSAGES = st.integers(1, 5).flatmap(lambda length: st.lists(
+    st.one_of(st.lists(_TOKENS, min_size=length, max_size=length),
+              st.lists(_TOKENS, min_size=1, max_size=5)).map(" ".join),
+    max_size=60))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_MESSAGES, st.integers(2, 4), st.integers(1, 3),
+       st.sampled_from((0.1, 0.4, 0.5, 1.0)))
+def test_index_agrees_with_scan_reference(messages, depth, max_children, sim_threshold):
+    tree = ClusterTree(depth=depth, sim_threshold=sim_threshold, max_children=max_children)
+    reference = _ScanTree(depth, sim_threshold, max_children)
+    for message in messages:
+        assert tree.ingest(message) == reference.ingest(message)
+    assert [(c.cluster_id, c.template_tokens, c.match_count) for c in tree.clusters] == [
+        tuple(cluster) for cluster in reference.clusters]
+    assert [(t.body.render(), t.match_count) for t in tree.export_templates()] == [
+        (" ".join(WILDCARD_TOKEN if token == CLUSTER_WILDCARD else token
+                  for token in tokens), count)
+        for _, tokens, count in reference.clusters]
+
+
+def test_generalized_position_counts_for_its_cluster():
+    tree = ClusterTree(depth=2, sim_threshold=0.5)
+    assert tree.ingest("a x y z")[0] == 1
+    assert tree.ingest("a b c d")[0] == 2
+    assert tree.ingest("a b c q") == (2, "a b c <*>")
+    # cluster 2 agrees on a, c and its wildcard (3 of 4), cluster 1 on a, x
+    assert tree.ingest("a x c r") == (2, "a <*> c <*>")
+
+
+def test_one_crowded_leaf_ingests_in_bounded_time():
+    # every line shares the `gauge pulse` path and its other six tokens are
+    # unique, so each starts a cluster in the same leaf; a scan of that leaf
+    # would make about 5e7 cluster comparisons
+    lines = [f"gauge pulse k={n} v={n + 1} w={n + 2} x={n + 3} y={n + 4} z={n + 5}"
+             for n in range(0, 60_000, 6)]
+    tree = ClusterTree()
+    started = time.perf_counter()
+    for line in lines:
+        tree.ingest(line)
+    assert time.perf_counter() - started < 2.0
+    assert len(tree.clusters) == len(lines) == 10_000

@@ -52,6 +52,16 @@ def test_extract_example_project(extract_run, tmp_path):
     assert "2 log calls" in out and "4 paths" in out and "4 templates" in out
 
 
+def test_extract_path_budget_reaches_the_mock_gateway(tmp_path, capsys):
+    out = tmp_path / "repo.jsonl"
+    assert main(["extract", str(EXAMPLE_PROJECT), "--out", str(out),
+                 "--max-paths-per-site", "1"]) == EXIT_OK
+    # one path per log call is analyzed, so one template per call is written
+    assert "2 paths" in capsys.readouterr().out
+    assert [t.body.render() for t in load_repository(out)] == [
+        "User_<.*>_NotFound", "Guest_<.*>"]
+
+
 def test_extract_default_report_dir(tmp_path):
     out = tmp_path / "repo.jsonl"
     assert main(["extract", str(EXAMPLE_PROJECT), "--out", str(out)]) == EXIT_OK

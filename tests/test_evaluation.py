@@ -141,6 +141,35 @@ def test_matched_pairs_are_one_to_one():
     assert len(report.matched_pairs) == 2
 
 
+def _nested_loop_pairs(parsed, truth):
+    """Reference: each parsed template scans the unpaired truth in order."""
+    unmatched = list(range(len(truth.templates)))
+    pairs = []
+    for parsed_index, body in enumerate(parsed):
+        for position, truth_index in enumerate(unmatched):
+            if templates_equal(body, truth.templates[truth_index]):
+                pairs.append((parsed_index, truth_index))
+                del unmatched[position]
+                break
+    return pairs
+
+
+def test_score_agrees_with_nested_loop_reference():
+    rng = random.Random(23)
+    # duplicates, and wildcard runs that collapse to one slot
+    vocabulary = ["a <.*> b", "a <.*> <.*> b", "a <.*> <.*> <.*> b", "a <.*>,<.*> b",
+                  "<.*> x", "<.*>  <.*> x", "x", "y <.*>"]
+    for _ in range(300):
+        parsed = _bodies(*(rng.choice(vocabulary) for _ in range(rng.randint(0, 8))))
+        truth = _truth(*(rng.choice(vocabulary) for _ in range(rng.randint(0, 8))))
+        report = score(parsed, truth)
+        pairs = _nested_loop_pairs(parsed, truth)
+        assert report.matched_pairs == pairs
+        precision = len(pairs) / len(parsed) if parsed else 0.0
+        recall = len(pairs) / len(truth.templates) if truth.templates else 0.0
+        assert (report.precision, report.recall) == (precision, recall)
+
+
 def test_load_ground_truth(tmp_path):
     path = tmp_path / "truth.txt"
     path.write_text("connect <.*> failed\n\nqueue empty\n", encoding="utf-8")
