@@ -15,7 +15,7 @@ class LogCallSite:
     """One logger invocation: ``log.<level>(...)`` or ``logger.<level>(...)``."""
 
     unit: SourceUnit
-    enclosing_method: str
+    method: MethodDecl
     line: int
     level: str
     call: Call
@@ -30,6 +30,10 @@ class LogCallSite:
         if self.call.args and isinstance(self.call.args[0], StrLit):
             return self.call.args[0].text
         return None
+
+    @property
+    def enclosing_method(self) -> str:
+        return self.method.name
 
     @property
     def method_fqn(self) -> str:
@@ -79,7 +83,7 @@ def find_log_calls(unit: SourceUnit) -> list[LogCallSite]:
                 if is_logger_call(sub):
                     sites.append(LogCallSite(
                         unit=unit,
-                        enclosing_method=method.name,
+                        method=method,
                         line=sub.line,
                         level=sub.method.lower(),
                         call=sub,

@@ -123,7 +123,7 @@ def _literal_segments(text: str) -> list:
     return raw
 
 
-def _step_class(unit: SourceUnit, method: MethodDecl | None, call: Call,
+def _step_class(unit: SourceUnit, method: MethodDecl, call: Call,
                 graph: CallGraph) -> str:
     """Best-effort class name for a built-in or unresolved call step."""
     recv = call.receiver
@@ -135,7 +135,7 @@ def _step_class(unit: SourceUnit, method: MethodDecl | None, call: Call,
         fqn = graph.resolve_class(unit, recv.name)
         if fqn is not None:
             return fqn
-        ptype = method.param_type(recv.name) if method is not None else None
+        ptype = method.param_type(recv.name)
         if ptype is not None:
             tfqn = graph.resolve_class(unit, ptype)
             if tfqn is not None:
@@ -164,7 +164,7 @@ def _return_branches(stmts: tuple, saw_if: bool) -> Iterator[tuple]:
     # branch without a return contributes nothing
 
 
-def _trace_expr(expr, unit: SourceUnit, method: MethodDecl | None, graph: CallGraph,
+def _trace_expr(expr, unit: SourceUnit, method: MethodDecl, graph: CallGraph,
                 budget: PathBudget, builtins: frozenset, depth: int,
                 stack: tuple, state: _State) -> Iterator[_Alt]:
     if isinstance(expr, StrLit):
@@ -187,7 +187,7 @@ def _trace_expr(expr, unit: SourceUnit, method: MethodDecl | None, graph: CallGr
     raise TypeError(f"cannot trace {expr!r}")
 
 
-def _trace_call(call: Call, unit: SourceUnit, method: MethodDecl | None,
+def _trace_call(call: Call, unit: SourceUnit, method: MethodDecl,
                 graph: CallGraph, budget: PathBudget, builtins: frozenset,
                 depth: int, stack: tuple, state: _State) -> Iterator[_Alt]:
     target = graph.resolve_call(unit, call)
@@ -252,7 +252,6 @@ def enumerate_paths(site: LogCallSite, graph: CallGraph,
     """
     builtins = frozenset(builtin_methods)
     state = _State()
-    enclosing = _enclosing_decl(site)
 
     log_step = PathStep(
         class_fqn=site.unit.fqn,
@@ -270,7 +269,7 @@ def enumerate_paths(site: LogCallSite, graph: CallGraph,
     elif not site.args:
         alts = iter([((), ())])
     else:
-        alts = _trace_expr(site.args[0], site.unit, enclosing, graph, budget,
+        alts = _trace_expr(site.args[0], site.unit, site.method, graph, budget,
                            builtins, 0, (), state)
 
     paths: list[CallPath] = []
@@ -293,10 +292,3 @@ def enumerate_paths(site: LogCallSite, graph: CallGraph,
         placeholder_mismatch=mismatch,
     )
 
-
-def _enclosing_decl(site: LogCallSite) -> MethodDecl | None:
-    # the enclosing method is identified by name only; pick the first match
-    for decl in site.unit.methods:
-        if decl.name == site.enclosing_method:
-            return decl
-    return None

@@ -190,7 +190,7 @@ class ClusterTree:
         return cluster.cluster_id, " ".join(tokens)
 
     def _child_key(self, node: _Node, token: str) -> str:
-        if any(ch.isdigit() for ch in token):
+        if any(map(str.isdigit, token)):
             return CLUSTER_WILDCARD
         if token in node.children:
             return token

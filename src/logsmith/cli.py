@@ -11,11 +11,9 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 from .analyzer import (
-    PathBudget,
     SourceSyntaxError,
     build_call_graph,
     build_report,
@@ -24,7 +22,7 @@ from .analyzer import (
     parse_source,
     render_report,
 )
-from .config import Config, ConfigError, load_config
+from .config import SECTIONS, Config, ConfigError, build_config, read_config
 from .evaluation import (
     GroundTruthError,
     canonical,
@@ -40,7 +38,6 @@ from .templates import (
     load_repository,
     save_repository,
 )
-from .whitebox import GatewayConfig, PostProcessPolicy
 from .whitebox.extract import ProjectFile, extract_project
 
 EXIT_OK = 0
@@ -48,7 +45,12 @@ EXIT_PARTIAL = 1
 EXIT_FATAL = 2
 
 
+def _names(text: str) -> list[str]:
+    return [name.strip() for name in text.split(",") if name.strip()]
+
+
 def _config_flags(parser: argparse.ArgumentParser) -> None:
+    """Override flags; each flag's dest is the config-file key it sets."""
     group = parser.add_argument_group("configuration overrides")
     group.add_argument("--config", metavar="FILE", help="YAML config file")
     group.add_argument("--endpoint", help="gateway endpoint URL (mock: for the mock)")
@@ -60,7 +62,7 @@ def _config_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--min-const-token-ratio", type=float)
     group.add_argument("--enable-verifier", action=argparse.BooleanOptionalAction,
                        default=None)
-    group.add_argument("--tree-depth", type=int)
+    group.add_argument("--tree-depth", dest="depth", metavar="TREE_DEPTH", type=int)
     group.add_argument("--sim-threshold", type=float)
     group.add_argument("--max-children", type=int)
     group.add_argument("--max-call-depth", type=int)
@@ -68,45 +70,25 @@ def _config_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--header-pattern", help="regex prefix stripped from log lines")
     group.add_argument("--allow-empty-inner", action=argparse.BooleanOptionalAction,
                        default=None, help="let inner wildcards match empty text")
-    group.add_argument("--builtin-methods",
+    group.add_argument("--builtin-methods", type=_names,
                        help="comma-separated built-in method names")
     group.add_argument("--workers", type=int)
 
 
-def _overrides(config: Config, args: argparse.Namespace) -> Config:
-    def picked(**pairs):
-        return {key: value for key, value in pairs.items() if value is not None}
-
-    gateway = replace(config.gateway, **picked(
-        endpoint=args.endpoint, model=args.model, temperature=args.temperature,
-        timeout=args.timeout, max_retries=args.max_retries))
-    postprocess = replace(config.postprocess, **picked(
-        min_const_chars=args.min_const_chars,
-        min_const_token_ratio=args.min_const_token_ratio,
-        enable_verifier=args.enable_verifier))
-    budget = replace(config.budget, **picked(
-        max_call_depth=args.max_call_depth,
-        max_paths_per_site=args.max_paths_per_site))
-    builtins = config.builtin_methods
-    if args.builtin_methods is not None:
-        builtins = tuple(name.strip() for name in args.builtin_methods.split(",")
-                         if name.strip())
-    return replace(config, gateway=gateway, postprocess=postprocess, budget=budget,
-                   builtin_methods=builtins, **picked(
-                       tree_depth=args.tree_depth,
-                       tree_sim_threshold=args.sim_threshold,
-                       tree_max_children=args.max_children,
-                       header_pattern=args.header_pattern,
-                       allow_empty_inner=args.allow_empty_inner,
-                       workers=args.workers))
-
-
 def _load_config(args: argparse.Namespace) -> Config:
-    config = load_config(args.config) if args.config else Config()
-    try:
-        return _overrides(config, args)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    """The config file's mapping with every given flag laid over it."""
+    data = {}
+    if args.config:
+        data = read_config(args.config)
+        build_config(data)  # a bad file value is fatal even where a flag overrides it
+    flags = vars(args)
+    for name, keys in SECTIONS.items():
+        given = {key: flags[key] for key in keys if flags[key] is not None}
+        if given:
+            data[name] = {**(data.get(name) or {}), **given}
+    if args.workers is not None:
+        data["workers"] = args.workers
+    return build_config(data)
 
 
 def _discover(project_dir: str) -> list[Path]:

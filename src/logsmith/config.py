@@ -52,6 +52,18 @@ class Config:
                            max_children=self.tree_max_children)
 
 
+# The keys each section of the file accepts; ``workers`` is the only
+# top-level key that is not a section.
+SECTIONS = {
+    "gateway": {"endpoint", "model", "temperature", "timeout", "max_retries"},
+    "postprocess": {"min_const_chars", "min_const_token_ratio", "enable_verifier"},
+    "tree": {"depth", "sim_threshold", "max_children"},
+    "paths": {"max_call_depth", "max_paths_per_site"},
+    "matching": {"header_pattern", "allow_empty_inner"},
+    "analyzer": {"builtin_methods"},
+}
+
+
 def _section(data: dict, name: str, allowed: set[str]) -> dict:
     section = data.get(name) or {}
     if not isinstance(section, dict):
@@ -62,52 +74,50 @@ def _section(data: dict, name: str, allowed: set[str]) -> dict:
     return section
 
 
-def load_config(path: str | Path) -> Config:
-    """Load and validate a YAML config file; missing sections use defaults."""
+def read_config(path: str | Path) -> dict:
+    """The mapping a YAML config file holds (empty for an empty file)."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     try:
-        data = yaml.safe_load(text) or {}
+        return yaml.safe_load(text) or {}
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid YAML: {exc}") from exc
+
+
+def build_config(data) -> Config:
+    """Validate a mapping shaped like the YAML file and build its Config.
+
+    Keys left out keep the dataclass defaults.
+    """
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping")
-
-    top_level = {"gateway", "postprocess", "tree", "paths", "matching",
-                 "analyzer", "workers"}
-    unknown = set(data) - top_level
+    unknown = set(data) - set(SECTIONS) - {"workers"}
     if unknown:
         raise ConfigError(f"unknown top-level keys: {', '.join(sorted(unknown))}")
+    sections = {name: _section(data, name, keys) for name, keys in SECTIONS.items()}
 
-    gateway = _section(data, "gateway",
-                       {"endpoint", "model", "temperature", "timeout", "max_retries"})
-    postprocess = _section(data, "postprocess",
-                           {"min_const_chars", "min_const_token_ratio",
-                            "enable_verifier"})
-    tree = _section(data, "tree", {"depth", "sim_threshold", "max_children"})
-    paths = _section(data, "paths", {"max_call_depth", "max_paths_per_site"})
-    matching = _section(data, "matching", {"header_pattern", "allow_empty_inner"})
-    analyzer = _section(data, "analyzer", {"builtin_methods"})
-
-    builtins = analyzer.get("builtin_methods", list(DEFAULT_BUILTIN_METHODS))
-    if (not isinstance(builtins, list)
-            or not all(isinstance(name, str) for name in builtins)):
-        raise ConfigError("analyzer.builtin_methods must be a list of strings")
-
+    fields = {f"tree_{key}": value for key, value in sections["tree"].items()}
+    fields.update(sections["matching"])
+    if "allow_empty_inner" in fields:
+        fields["allow_empty_inner"] = bool(fields["allow_empty_inner"])
+    if "builtin_methods" in sections["analyzer"]:
+        builtins = sections["analyzer"]["builtin_methods"]
+        if (not isinstance(builtins, list)
+                or not all(isinstance(name, str) for name in builtins)):
+            raise ConfigError("analyzer.builtin_methods must be a list of strings")
+        fields["builtin_methods"] = tuple(builtins)
+    if "workers" in data:
+        fields["workers"] = data["workers"]
     try:
-        return Config(
-            gateway=GatewayConfig(**gateway),
-            postprocess=PostProcessPolicy(**postprocess),
-            tree_depth=tree.get("depth", 4),
-            tree_sim_threshold=tree.get("sim_threshold", 0.4),
-            tree_max_children=tree.get("max_children", 100),
-            budget=PathBudget(**paths),
-            header_pattern=matching.get("header_pattern"),
-            allow_empty_inner=bool(matching.get("allow_empty_inner", False)),
-            builtin_methods=tuple(builtins),
-            workers=data.get("workers", 1),
-        )
+        return Config(gateway=GatewayConfig(**sections["gateway"]),
+                      postprocess=PostProcessPolicy(**sections["postprocess"]),
+                      budget=PathBudget(**sections["paths"]), **fields)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def load_config(path: str | Path) -> Config:
+    """Load and validate a YAML config file; missing keys use defaults."""
+    return build_config(read_config(path))

@@ -9,7 +9,7 @@ for a wildcard slot.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable
 
@@ -133,6 +133,27 @@ class Template:
             source=record.get("source", "whitebox"),
             match_count=record.get("match_count"),
         )
+
+
+def merge_templates(templates: Iterable[Template]) -> list[Template]:
+    """Merge templates with equal bodies, in first-seen order.
+
+    A merged entry keeps the lowest-rank level seen and the sorted union
+    of the contributing methods.
+    """
+    merged: dict[TemplateBody, Template] = {}
+    for template in templates:
+        existing = merged.get(template.body)
+        if existing is None:
+            merged[template.body] = template
+            continue
+        level = existing.level
+        if template.level and (level is None
+                               or level_rank(template.level) < level_rank(level)):
+            level = template.level
+        methods = tuple(sorted({*existing.methods, *template.methods}))
+        merged[template.body] = replace(existing, level=level, methods=methods)
+    return list(merged.values())
 
 
 def save_repository(templates: Iterable[Template], path: str | Path) -> None:

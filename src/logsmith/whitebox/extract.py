@@ -27,7 +27,7 @@ from ..analyzer import (
     find_log_calls,
     render_report,
 )
-from ..templates import Template, level_rank
+from ..templates import Template, merge_templates
 from .gateway import GatewayConfig, GatewayError, invoke_gateway, make_gateway
 from .postprocess import PostProcessPolicy, Rejection, post_process
 from .prompt import PromptBundle, build_prompt
@@ -66,7 +66,7 @@ class ProjectExtraction:
 
 
 def extract_unit(entry: ProjectFile, project: dict[str, ProjectFile],
-                 graph: CallGraph, gateway=None, *,
+                 graph: CallGraph, gateway, *,
                  gateway_config: GatewayConfig = GatewayConfig(),
                  policy: PostProcessPolicy = PostProcessPolicy(),
                  budget: PathBudget = PathBudget(),
@@ -83,8 +83,6 @@ def extract_unit(entry: ProjectFile, project: dict[str, ProjectFile],
         return result
 
     result.prompt = build_prompt(_java_code(entry, project, enumerations), report_text)
-    if gateway is None:
-        gateway = make_gateway(gateway_config, budget, builtin_methods)
     try:
         result.raw_response = invoke_gateway(result.prompt, gateway_config, gateway)
     except GatewayError as exc:
@@ -140,18 +138,5 @@ def extract_project(files: list[ProjectFile], gateway=None, *,
             units = list(pool.map(run_one, files))
     else:
         units = [run_one(f) for f in files]
-    merged: dict = {}
-    for unit_result in units:
-        for template in unit_result.accepted:
-            existing = merged.get(template.body)
-            if existing is None:
-                merged[template.body] = template
-            else:
-                level = existing.level
-                if template.level and (level is None or
-                                       level_rank(template.level) < level_rank(level)):
-                    level = template.level
-                methods = tuple(sorted(set(existing.methods) | set(template.methods)))
-                merged[template.body] = Template(body=template.body, level=level,
-                                                 methods=methods)
-    return ProjectExtraction(units=units, templates=list(merged.values()))
+    templates = merge_templates(t for unit_result in units for t in unit_result.accepted)
+    return ProjectExtraction(units=units, templates=templates)

@@ -157,7 +157,7 @@ class MockGateway:
                                               self.builtin_methods)
                 for path in enumeration.paths:
                     records.append(ExtractedTemplate(
-                        method=f"{unit.fqn}.{site.enclosing_method}",
+                        method=site.method_fqn,
                         template=path.yielded.render(),
                         level=site.level,
                     ))
@@ -193,15 +193,13 @@ def make_gateway(config: GatewayConfig, budget: PathBudget = PathBudget(),
     return HttpGateway(config)
 
 
-def invoke_gateway(bundle: PromptBundle, config: GatewayConfig, gateway=None) -> str:
+def invoke_gateway(bundle: PromptBundle, config: GatewayConfig, gateway) -> str:
     """Send the prompt, retrying on transport errors and unparseable output.
 
     Performs up to ``max_retries + 1`` attempts and returns the first raw
     response whose text parses as a record array. Raises RetriesExhausted
     once attempts run out.
     """
-    if gateway is None:
-        gateway = make_gateway(config)
     prompt = bundle.render()
     attempts = config.max_retries + 1
     last_error: Exception | None = None

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..templates import Template, TemplateBody, WILDCARD_TOKEN, level_rank
+from ..templates import Template, TemplateBody, WILDCARD_TOKEN, merge_templates
 from .gateway import build_verifier_prompt
 from .responses import ExtractedTemplate
 
@@ -85,17 +85,16 @@ def post_process(records: list[ExtractedTemplate], policy: PostProcessPolicy,
                  gateway=None) -> tuple[list[Template], list[Rejection]]:
     """Normalize, filter, dedup and (optionally) verify extraction records.
 
-    Duplicate bodies merge into one template keeping the lowest severity
-    level seen and the sorted union of contributing methods. When the
-    verifier is enabled a gateway must be supplied; each surviving
-    template is confirmed by one verifier call and rejected on a negative
-    verdict. Returns (accepted, rejected).
+    Duplicate bodies merge by ``merge_templates``. When the verifier is
+    enabled a gateway must be supplied; each surviving template is
+    confirmed by one verifier call and rejected on a negative verdict.
+    Returns (accepted, rejected).
     """
     if policy.enable_verifier and gateway is None:
         raise ValueError("verifier enabled but no gateway supplied")
 
     rejected: list[Rejection] = []
-    merged: dict[TemplateBody, Template] = {}
+    kept: list[Template] = []
     for record in records:
         body = normalize_template(record.template)
         reason = _filter_reason(body, policy)
@@ -103,25 +102,16 @@ def post_process(records: list[ExtractedTemplate], policy: PostProcessPolicy,
             rejected.append(Rejection(template=record.template, reason=reason,
                                       method=record.method))
             continue
-        existing = merged.get(body)
-        if existing is None:
-            merged[body] = Template(body=body, level=record.level,
-                                    methods=(record.method,) if record.method else ())
-        else:
-            level = existing.level
-            if record.level and (level is None
-                                 or level_rank(record.level) < level_rank(level)):
-                level = record.level
-            methods = tuple(sorted(set(existing.methods)
-                                   | ({record.method} if record.method else set())))
-            merged[body] = Template(body=body, level=level, methods=methods)
+        kept.append(Template(body=body, level=record.level,
+                             methods=(record.method,) if record.method else ()))
 
     accepted: list[Template] = []
-    for body, template in merged.items():
+    for template in merge_templates(kept):
         if policy.enable_verifier:
-            verdict = gateway.send(build_verifier_prompt(body.render()))
+            rendered = template.body.render()
+            verdict = gateway.send(build_verifier_prompt(rendered))
             if not verdict.strip().lower().startswith("yes"):
-                rejected.append(Rejection(template=body.render(),
+                rejected.append(Rejection(template=rendered,
                                           reason=REASON_VERIFIER_REJECTED,
                                           method=";".join(template.methods)))
                 continue

@@ -1,16 +1,21 @@
 from __future__ import annotations
 
+import argparse
 import io
 import json
 import shutil
 
 import pytest
+import yaml
 
 from logsmith import evaluation
-from logsmith.cli import EXIT_FATAL, EXIT_OK, EXIT_PARTIAL, main
+from logsmith.cli import (
+    EXIT_FATAL, EXIT_OK, EXIT_PARTIAL, _config_flags, _load_config, build_parser, main)
+from logsmith.config import load_config
 from logsmith.templates import load_repository
 
 from conftest import EXAMPLE_PROJECT, GOLDEN_REPORT
+from generator import generate_project
 
 EXPECTED_TEMPLATES = {
     "User_<.*>_NotFound": "error",
@@ -310,3 +315,118 @@ def test_conservation_across_parse(repo_path, tmp_path, capsys):
     assert main(["parse", str(repo_path), str(log)]) == EXIT_OK
     out = capsys.readouterr().out
     assert "17 lines: 10 matched, 5 routed, 2 dropped" in out
+
+
+# Each override flag, the YAML key it overrides, a file value and a flag
+# value that differ, and the Config field both must land on.
+FLAG_CASES = [
+    (["--endpoint", "https://flag.test/v1"], "gateway", "endpoint",
+     "https://file.test/v1", "https://flag.test/v1", lambda c: c.gateway.endpoint),
+    (["--model", "flag-model"], "gateway", "model", "file-model", "flag-model",
+     lambda c: c.gateway.model),
+    (["--temperature", "0.7"], "gateway", "temperature", 0.3, 0.7,
+     lambda c: c.gateway.temperature),
+    (["--timeout", "7.5"], "gateway", "timeout", 3.0, 7.5,
+     lambda c: c.gateway.timeout),
+    (["--max-retries", "5"], "gateway", "max_retries", 1, 5,
+     lambda c: c.gateway.max_retries),
+    (["--min-const-chars", "2"], "postprocess", "min_const_chars", 6, 2,
+     lambda c: c.postprocess.min_const_chars),
+    (["--min-const-token-ratio", "0.5"], "postprocess", "min_const_token_ratio",
+     0.1, 0.5, lambda c: c.postprocess.min_const_token_ratio),
+    (["--enable-verifier"], "postprocess", "enable_verifier", False, True,
+     lambda c: c.postprocess.enable_verifier),
+    (["--no-enable-verifier"], "postprocess", "enable_verifier", True, False,
+     lambda c: c.postprocess.enable_verifier),
+    (["--tree-depth", "6"], "tree", "depth", 3, 6, lambda c: c.tree_depth),
+    (["--sim-threshold", "0.8"], "tree", "sim_threshold", 0.5, 0.8,
+     lambda c: c.tree_sim_threshold),
+    (["--max-children", "12"], "tree", "max_children", 30, 12,
+     lambda c: c.tree_max_children),
+    (["--max-call-depth", "3"], "paths", "max_call_depth", 5, 3,
+     lambda c: c.budget.max_call_depth),
+    (["--max-paths-per-site", "2"], "paths", "max_paths_per_site", 9, 2,
+     lambda c: c.budget.max_paths_per_site),
+    (["--header-pattern", "^flag "], "matching", "header_pattern", "^file ",
+     "^flag ", lambda c: c.header_pattern),
+    (["--allow-empty-inner"], "matching", "allow_empty_inner", False, True,
+     lambda c: c.allow_empty_inner),
+    (["--no-allow-empty-inner"], "matching", "allow_empty_inner", True, False,
+     lambda c: c.allow_empty_inner),
+    (["--builtin-methods", "trim, valueOf"], "analyzer", "builtin_methods",
+     ["concat"], ["trim", "valueOf"], lambda c: tuple(c.builtin_methods)),
+    (["--workers", "3"], None, "workers", 2, 3, lambda c: c.workers),
+]
+
+
+def _yaml_config(path, section, key, value):
+    data = {key: value} if section is None else {section: {key: value}}
+    path.write_text(yaml.safe_dump(data), encoding="utf-8")
+    return path
+
+
+def _flag_config(argv):
+    args = build_parser().parse_args(["report", str(EXAMPLE_PROJECT)] + argv)
+    return _load_config(args)
+
+
+def _field_value(value):
+    return tuple(value) if isinstance(value, list) else value
+
+
+def test_flag_cases_cover_every_override_flag():
+    parser = argparse.ArgumentParser()
+    _config_flags(parser)
+    declared = {opt for action in parser._actions for opt in action.option_strings}
+    assert declared - {"-h", "--help", "--config"} == {case[0][0] for case in FLAG_CASES}
+
+
+@pytest.mark.parametrize(
+    "argv,section,key,file_value,flag_value,field", FLAG_CASES,
+    ids=[case[0][0] for case in FLAG_CASES])
+def test_flag_sets_its_field_over_the_config_file(tmp_path, argv, section, key,
+                                                  file_value, flag_value, field):
+    config_file = _yaml_config(tmp_path / "file.yaml", section, key, file_value)
+    assert field(load_config(config_file)) == _field_value(file_value)
+
+    config = _flag_config(argv + ["--config", str(config_file)])
+    assert field(config) == _field_value(flag_value)
+    # the flag lands on the same field as the YAML key, and nowhere else
+    same = load_config(_yaml_config(tmp_path / "same.yaml", section, key, flag_value))
+    assert config == same
+    assert _flag_config(argv) == same
+
+
+def _generated_corpus(directory, seeds):
+    """Generator projects, each moved into a package of its own."""
+    for seed in seeds:
+        package = f"com.gen.s{seed}"
+        project = directory / f"p{seed:03d}"
+        project.mkdir(parents=True)
+        for name, text in generate_project(seed):
+            text = text.replace("package com.gen;", f"package {package};", 1)
+            text = text.replace("import com.gen.", f"import {package}.")
+            (project / name).write_text(text, encoding="utf-8")
+    return directory
+
+
+def _extract_outputs(project_dir, out_dir, flags):
+    out_dir.mkdir()
+    out = out_dir / "repo.jsonl"
+    reports = out_dir / "reports"
+    assert main(["extract", str(project_dir), "--out", str(out),
+                 "--report-dir", str(reports)] + flags) == EXIT_OK
+    files = {path.name: path.read_bytes() for path in sorted(reports.iterdir())}
+    return out.read_bytes(), files
+
+
+@pytest.mark.parametrize("corpus", ["example", "generated"])
+def test_extract_workers_match_serial_run(tmp_path, capsys, corpus):
+    if corpus == "example":
+        project_dir = EXAMPLE_PROJECT
+    else:
+        project_dir = _generated_corpus(tmp_path / "corpus", range(40))
+    serial = _extract_outputs(project_dir, tmp_path / "serial", ["--workers", "1"])
+    pooled = _extract_outputs(project_dir, tmp_path / "pooled", ["--workers", "3"])
+    assert serial[0] and serial[1]
+    assert pooled == serial

@@ -208,3 +208,24 @@ def test_budget_validation():
         PathBudget(max_call_depth=0)
     with pytest.raises(ValueError):
         PathBudget(max_paths_per_site=0)
+
+
+def test_overloaded_enclosing_method_supplies_its_own_parameter_types():
+    site, graph = _single_site(
+        "package p;\n"
+        "public class Main {\n"
+        "  public void run(String a) {\n"
+        "  }\n"
+        "  public void run(Aux a, String b) {\n"
+        '    log.info("two " + a.name());\n'
+        "  }\n"
+        "}\n",
+        "package p;\n"
+        "public class Aux {\n"
+        "}\n")
+    assert site.method.params == (("a", "Aux"), ("b", "String"))
+    (path,) = enumerate_paths(site, graph).paths
+    builtin_step = path.steps[-1]
+    assert builtin_step.call_code == "a.name()"
+    assert builtin_step.callee_kind == KIND_BUILTIN
+    assert builtin_step.class_fqn == "p.Aux"

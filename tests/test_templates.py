@@ -14,6 +14,7 @@ from logsmith.templates import (
     append_repository,
     level_rank,
     load_repository,
+    merge_templates,
     save_repository,
 )
 
@@ -111,3 +112,26 @@ def test_append_repository_skips_existing(tmp_path):
 def test_wildcard_token_text():
     assert WILDCARD_TOKEN == "<.*>"
     assert repr(WILD) == WILDCARD_TOKEN
+
+
+def test_merge_templates_rule():
+    a, b = TemplateBody.parse("a <.*>"), TemplateBody.parse("b <.*>")
+    merged = merge_templates([
+        Template(body=a, level=None, methods=("z.M.x",)),
+        Template(body=b, level="warn", methods=("y.N.y",)),
+        Template(body=a, level="error", methods=("a.M.w",)),
+        Template(body=a, level="debug", methods=("z.M.x",)),
+        Template(body=b, level="fatal", methods=()),
+        Template(body=b, level=None, methods=("b.N.v",)),
+    ])
+    # first-seen order, lowest-rank level, sorted union of methods
+    assert merged == [
+        Template(body=a, level="debug", methods=("a.M.w", "z.M.x")),
+        Template(body=b, level="warn", methods=("b.N.v", "y.N.y")),
+    ]
+
+
+def test_merge_templates_keeps_a_lone_template_as_it_is():
+    lone = Template(body=TemplateBody.parse("x"), level="info", methods=("q", "p"))
+    assert merge_templates([lone]) == [lone]
+    assert merge_templates([lone])[0] is lone
