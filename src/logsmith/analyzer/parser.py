@@ -3,13 +3,15 @@
 Accepts one class per file: package declaration, imports, modifiers,
 methods with typed parameters, if/else, return, expression statements,
 string literals, identifiers, ``+`` concatenation and method calls.
-Line and block comments are skipped. Anything outside the subset raises
-:class:`SourceSyntaxError` with the offending line.
+Line and block comments are skipped. Anything outside the subset, and
+nesting deeper than ``MAX_NESTING``, raises :class:`SourceSyntaxError` with
+the offending line.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from .syntax import (
     Call,
@@ -38,82 +40,73 @@ _KEYWORDS = {
     "public", "private", "protected", "static", "final",
 }
 _MODIFIERS = {"public", "private", "protected", "static", "final"}
-_PUNCT = {"{", "}", "(", ")", ";", ",", ".", "+"}
 
 _STRING_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "b": "\b", "f": "\f",
                    '"': '"', "'": "'", "\\": "\\"}
 
+# Deepest nesting the parser accepts: parentheses, call arguments, if and
+# else-if levels, and one level per "+" operand or "." call link, since those
+# build left-nested trees. Every later stage recurses over these trees, and a
+# chain of helpers each nested this deep still fits Python's default
+# recursion limit when paths are traced through all of them.
+MAX_NESTING = 64
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "ident", "keyword", "string", "punct", "eof"
+_STRING_BODY = r'[^"\\\n]*(?:\\[^\n][^"\\\n]*)*'
+# "\w" is exactly str.isalnum() or "_"; the first character of a word is
+# checked against str.isalpha() separately, as no regex class matches it.
+_LEXEME = re.compile(
+    r'(?P<skip>[ \t\r\n]+|//[^\n]*|/\*.*?\*/)'
+    rf'|"(?P<string>{_STRING_BODY})"'
+    r'|(?P<word>\w+)'
+    r'|(?P<punct>[{}();,.+])'
+    r'|(?P<bad>.)',
+    re.DOTALL)
+_STRING_PREFIX = re.compile(_STRING_BODY)
+_ESCAPE = re.compile(r"\\(.)")
+
+
+class _Token(NamedTuple):
+    kind: str  # "ident", "string", "eof", or the keyword or punctuation itself
     value: str
     line: int
 
 
+def _unescape(match: re.Match) -> str:
+    return _STRING_ESCAPES.get(match[1], match[1])
+
+
+def _lex_error(text: str, pos: int, line: int) -> SourceSyntaxError:
+    """The error for text at ``pos`` that starts no token."""
+    if text.startswith("/*", pos):
+        return SourceSyntaxError(line, "unterminated block comment")
+    if text[pos] == '"':
+        end = _STRING_PREFIX.match(text, pos + 1).end()
+        if end == len(text):
+            return SourceSyntaxError(line, "unterminated string literal")
+        if text[end] == "\\" and end + 1 == len(text):
+            return SourceSyntaxError(line, "dangling escape in string literal")
+        return SourceSyntaxError(line, "newline in string literal")
+    return SourceSyntaxError(line, f"unexpected character {text[pos]!r}")
+
+
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i = 0
     line = 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            continue
-        if text.startswith("//", i):
-            end = text.find("\n", i)
-            i = n if end < 0 else end
-            continue
-        if text.startswith("/*", i):
-            end = text.find("*/", i + 2)
-            if end < 0:
-                raise SourceSyntaxError(line, "unterminated block comment")
-            line += text.count("\n", i, end)
-            i = end + 2
-            continue
-        if ch == '"':
-            start_line = line
-            i += 1
-            chars: list[str] = []
-            while True:
-                if i >= n:
-                    raise SourceSyntaxError(start_line, "unterminated string literal")
-                c = text[i]
-                if c == '"':
-                    i += 1
-                    break
-                if c == "\n":
-                    raise SourceSyntaxError(start_line, "newline in string literal")
-                if c == "\\":
-                    if i + 1 >= n:
-                        raise SourceSyntaxError(start_line, "dangling escape in string literal")
-                    esc = text[i + 1]
-                    chars.append(_STRING_ESCAPES.get(esc, esc))
-                    i += 2
-                    continue
-                chars.append(c)
-                i += 1
-            tokens.append(_Token("string", "".join(chars), start_line))
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = "keyword" if word in _KEYWORDS else "ident"
-            tokens.append(_Token(kind, word, line))
-            i = j
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token("punct", ch, line))
-            i += 1
-            continue
-        raise SourceSyntaxError(line, f"unexpected character {ch!r}")
+    for match in _LEXEME.finditer(text):
+        kind = match.lastgroup
+        value = match[kind]
+        if kind == "skip":
+            line += value.count("\n")
+        elif kind == "word" and (value[0].isalpha() or value[0] == "_"):
+            tokens.append(_Token(value if value in _KEYWORDS else "ident", value, line))
+        elif kind == "punct":
+            tokens.append(_Token(value, value, line))
+        elif kind == "string":
+            if "\\" in value:
+                value = _ESCAPE.sub(_unescape, value)
+            tokens.append(_Token("string", value, line))
+        else:
+            raise _lex_error(text, match.start(), line)
     tokens.append(_Token("eof", "", line))
     return tokens
 
@@ -123,6 +116,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.path = path
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -136,54 +130,43 @@ class _Parser:
     def error(self, message: str) -> SourceSyntaxError:
         return SourceSyntaxError(self.peek().line, message)
 
-    def expect_punct(self, value: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "punct" or tok.value != value:
-            raise self.error(f"expected {value!r}, found {tok.value!r}")
+    def at(self, kind: str) -> bool:
+        return self.tokens[self.pos].kind == kind
+
+    def expect(self, kind: str, what: str | None = None) -> _Token:
+        if not self.at(kind):
+            found = self.peek().value
+            raise self.error(f"expected {what or repr(kind)}, found {found!r}")
         return self.advance()
 
-    def expect_keyword(self, value: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "keyword" or tok.value != value:
-            raise self.error(f"expected {value!r}, found {tok.value!r}")
-        return self.advance()
-
-    def expect_ident(self, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "ident":
-            raise self.error(f"expected {what}, found {tok.value!r}")
-        return self.advance()
-
-    def at_punct(self, value: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "punct" and tok.value == value
-
-    def at_keyword(self, value: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "keyword" and tok.value == value
+    def nest(self):
+        """Enter one more nesting level; the caller restores ``depth`` on leaving."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self.error("source nested too deep")
 
     # --- grammar ---
 
     def parse_unit(self) -> SourceUnit:
-        self.expect_keyword("package")
+        self.expect("package")
         package = self.parse_dotted()
-        self.expect_punct(";")
+        self.expect(";")
 
         imports = []
-        while self.at_keyword("import"):
+        while self.at("import"):
             self.advance()
             imports.append(self.parse_dotted())
-            self.expect_punct(";")
+            self.expect(";")
 
         self.parse_modifiers()
-        self.expect_keyword("class")
-        class_name = self.expect_ident("class name").value
-        self.expect_punct("{")
+        self.expect("class")
+        class_name = self.expect("ident", "class name").value
+        self.expect("{")
         methods = []
-        while not self.at_punct("}"):
+        while not self.at("}"):
             methods.append(self.parse_method())
-        self.expect_punct("}")
-        if self.peek().kind != "eof":
+        self.expect("}")
+        if not self.at("eof"):
             raise self.error("trailing content after class body")
         return SourceUnit(
             path=self.path,
@@ -194,15 +177,15 @@ class _Parser:
         )
 
     def parse_dotted(self) -> str:
-        parts = [self.expect_ident("name").value]
-        while self.at_punct("."):
+        parts = [self.expect("ident", "name").value]
+        while self.at("."):
             self.advance()
-            parts.append(self.expect_ident("name").value)
+            parts.append(self.expect("ident", "name").value)
         return ".".join(parts)
 
     def parse_modifiers(self) -> tuple[str, ...]:
         mods = []
-        while self.peek().kind == "keyword" and self.peek().value in _MODIFIERS:
+        while self.peek().kind in _MODIFIERS:
             mods.append(self.advance().value)
         return tuple(mods)
 
@@ -210,22 +193,21 @@ class _Parser:
         start = self.peek().line
         mods = self.parse_modifiers()
         return_type = self.parse_type()
-        name = self.expect_ident("method name").value
-        self.expect_punct("(")
+        name = self.expect("ident", "method name").value
+        self.expect("(")
         params = []
-        if not self.at_punct(")"):
+        if not self.at(")"):
             while True:
                 ptype = self.parse_type()
-                pname = self.expect_ident("parameter name").value
+                pname = self.expect("ident", "parameter name").value
                 if any(existing == pname for existing, _ in params):
-                    raise SourceSyntaxError(self.peek().line,
-                                            f"duplicate parameter name {pname!r}")
+                    raise self.error(f"duplicate parameter name {pname!r}")
                 params.append((pname, ptype))
-                if self.at_punct(","):
+                if self.at(","):
                     self.advance()
                     continue
                 break
-        self.expect_punct(")")
+        self.expect(")")
         body = self.parse_block()
         return MethodDecl(
             name=name,
@@ -239,70 +221,80 @@ class _Parser:
 
     def parse_type(self) -> str:
         # "void" lexes as an identifier; any single identifier is a type name
-        return self.expect_ident("type name").value
+        return self.expect("ident", "type name").value
 
     def parse_block(self) -> tuple:
-        self.expect_punct("{")
+        self.expect("{")
         stmts = []
-        while not self.at_punct("}"):
+        while not self.at("}"):
             stmts.append(self.parse_stmt())
-        self.expect_punct("}")
+        self.expect("}")
         return tuple(stmts)
 
     def parse_stmt(self):
         tok = self.peek()
-        if tok.kind == "keyword" and tok.value == "if":
+        if tok.kind == "if":
             return self.parse_if()
-        if tok.kind == "keyword" and tok.value == "return":
+        if tok.kind == "return":
             self.advance()
-            if self.at_punct(";"):
+            if self.at(";"):
                 self.advance()
                 return Return(None, line=tok.line)
             value = self.parse_expr()
-            self.expect_punct(";")
+            self.expect(";")
             return Return(value, line=tok.line)
-        if tok.kind == "keyword":
+        if tok.kind in _KEYWORDS:
             raise self.error(f"unsupported statement {tok.value!r}")
         expr = self.parse_expr()
-        self.expect_punct(";")
+        self.expect(";")
         return ExprStmt(expr, line=tok.line)
 
     def parse_if(self) -> If:
-        start = self.expect_keyword("if").line
-        self.expect_punct("(")
+        outer = self.depth
+        self.nest()
+        start = self.expect("if").line
+        self.expect("(")
         cond = self.parse_expr()
-        self.expect_punct(")")
+        self.expect(")")
         then_body = self.parse_branch_body()
         else_body: tuple = ()
-        if self.at_keyword("else"):
+        if self.at("else"):
             self.advance()
-            if self.at_keyword("if"):
+            if self.at("if"):
                 else_body = (self.parse_if(),)
             else:
                 else_body = self.parse_branch_body()
+        self.depth = outer
         return If(cond, then_body, else_body, line=start)
 
     def parse_branch_body(self) -> tuple:
-        if self.at_punct("{"):
+        if self.at("{"):
             return self.parse_block()
         return (self.parse_stmt(),)
 
     def parse_expr(self):
+        outer = self.depth
+        self.nest()
         expr = self.parse_postfix()
-        while self.at_punct("+"):
+        while self.at("+"):
             plus = self.advance()
+            self.nest()
             right = self.parse_postfix()
             expr = Concat(expr, right, line=plus.line)
+        self.depth = outer
         return expr
 
     def parse_postfix(self):
+        outer = self.depth
         expr = self.parse_primary()
-        while self.at_punct("."):
+        while self.at("."):
             self.advance()
-            name = self.expect_ident("method name")
-            self.expect_punct("(")
+            self.nest()
+            name = self.expect("ident", "method name")
+            self.expect("(")
             args = self.parse_args()
             expr = Call(expr, name.value, args, line=name.line)
+        self.depth = outer
         return expr
 
     def parse_primary(self):
@@ -312,29 +304,29 @@ class _Parser:
             return StrLit(tok.value, line=tok.line)
         if tok.kind == "ident":
             self.advance()
-            if self.at_punct("("):
+            if self.at("("):
                 self.advance()
                 args = self.parse_args()
                 return Call(None, tok.value, args, line=tok.line)
             return Ident(tok.value, line=tok.line)
-        if tok.kind == "punct" and tok.value == "(":
+        if tok.kind == "(":
             self.advance()
             expr = self.parse_expr()
-            self.expect_punct(")")
+            self.expect(")")
             return expr
         raise self.error(f"expected expression, found {tok.value!r}")
 
     def parse_args(self) -> tuple:
         # caller consumed "("
         args = []
-        if not self.at_punct(")"):
+        if not self.at(")"):
             while True:
                 args.append(self.parse_expr())
-                if self.at_punct(","):
+                if self.at(","):
                     self.advance()
                     continue
                 break
-        self.expect_punct(")")
+        self.expect(")")
         return tuple(args)
 
 

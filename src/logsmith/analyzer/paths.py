@@ -95,19 +95,6 @@ class PathEnumeration:
     placeholder_mismatch: bool = False
 
 
-class _State:
-    def __init__(self):
-        self.truncated = False
-        self.conditional = False
-        self.external = False
-        self.cycles: list[RecursionCycle] = []
-
-    def record_cycle(self, chain: tuple[str, ...]):
-        cycle = RecursionCycle(chain)
-        if cycle not in self.cycles:
-            self.cycles.append(cycle)
-
-
 # An alternative is (segments, steps) for one branch combination.
 _Alt = tuple[tuple, tuple]
 
@@ -149,52 +136,76 @@ def _step_class(unit: SourceUnit, method: MethodDecl, call: Call,
     return "java.lang.String"
 
 
-def _return_branches(stmts: tuple, saw_if: bool) -> Iterator[tuple]:
-    """Yield (return expression, reached through a conditional) per branch."""
-    for i, stmt in enumerate(stmts):
-        if isinstance(stmt, Return):
-            yield (stmt.value, saw_if)
+def _returns(stmt) -> bool:
+    """Whether ``stmt`` is or holds a return statement."""
+    if isinstance(stmt, If):
+        return any(map(_returns, stmt.then_body + stmt.else_body))
+    return isinstance(stmt, Return)
+
+
+def _return_branches(stmts: tuple) -> Iterator[tuple]:
+    """Yield (return expression, reached through a conditional) per branch.
+
+    Only an ``if`` with a return in one of its branches forks; any other
+    ``if`` still marks the statements after it as conditional.
+    """
+    pending = [(stmts, False)]
+    while pending:
+        stmts, saw_if = pending.pop()
+        for i, stmt in enumerate(stmts):
+            if isinstance(stmt, Return):
+                yield (stmt.value, saw_if)
+                break
+            if isinstance(stmt, If):
+                if _returns(stmt):
+                    rest = stmts[i + 1:]
+                    pending.append((stmt.else_body + rest, True))
+                    pending.append((stmt.then_body + rest, True))
+                    break
+                saw_if = True
+            # other statements do not affect the returned value
+        # a branch without a return contributes nothing
+
+
+class _Tracer:
+    """Traces expressions of one call site; collects the analysis flags."""
+
+    def __init__(self, graph: CallGraph, budget: PathBudget, builtins: frozenset):
+        self.graph = graph
+        self.budget = budget
+        self.builtins = builtins
+        self.truncated = False
+        self.conditional = False
+        self.external = False
+        self.cycles: list[RecursionCycle] = []
+
+    def expr(self, expr, unit: SourceUnit, method: MethodDecl,
+             stack: tuple) -> Iterator[_Alt]:
+        """Alternatives of ``expr``; ``stack`` holds the keys of the helpers entered."""
+        if isinstance(expr, StrLit):
+            yield ((expr.text,) if expr.text else (), ())
+        elif isinstance(expr, Ident):
+            yield ((WILD,), ())
+        elif isinstance(expr, Concat):
+            for left_segs, left_steps in self.expr(expr.left, unit, method, stack):
+                for right_segs, right_steps in self.expr(expr.right, unit, method, stack):
+                    yield (left_segs + right_segs, left_steps + right_steps)
+        elif isinstance(expr, Call):
+            yield from self.call(expr, unit, method, stack)
+        else:
+            raise TypeError(f"cannot trace {expr!r}")
+
+    def call(self, call: Call, unit: SourceUnit, method: MethodDecl,
+             stack: tuple) -> Iterator[_Alt]:
+        self.external = True
+        target = self.graph.resolve_call(unit, call)
+        code = expr_to_source(call)
+        if target is None:
+            kind = KIND_BUILTIN if call.method in self.builtins else KIND_UNKNOWN
+            step = PathStep(_step_class(unit, method, call, self.graph), code, kind)
+            yield ((WILD,), (step,))
             return
-        if isinstance(stmt, If):
-            rest = stmts[i + 1:]
-            yield from _return_branches(stmt.then_body + rest, True)
-            yield from _return_branches(stmt.else_body + rest, True)
-            return
-        # other statements do not affect the returned value
-    # branch without a return contributes nothing
 
-
-def _trace_expr(expr, unit: SourceUnit, method: MethodDecl, graph: CallGraph,
-                budget: PathBudget, builtins: frozenset, depth: int,
-                stack: tuple, state: _State) -> Iterator[_Alt]:
-    if isinstance(expr, StrLit):
-        yield ((expr.text,) if expr.text else (), ())
-        return
-    if isinstance(expr, Ident):
-        yield ((WILD,), ())
-        return
-    if isinstance(expr, Concat):
-        for left_segs, left_steps in _trace_expr(expr.left, unit, method, graph,
-                                                 budget, builtins, depth, stack, state):
-            for right_segs, right_steps in _trace_expr(expr.right, unit, method, graph,
-                                                       budget, builtins, depth, stack, state):
-                yield (left_segs + right_segs, left_steps + right_steps)
-        return
-    if isinstance(expr, Call):
-        yield from _trace_call(expr, unit, method, graph, budget, builtins,
-                               depth, stack, state)
-        return
-    raise TypeError(f"cannot trace {expr!r}")
-
-
-def _trace_call(call: Call, unit: SourceUnit, method: MethodDecl,
-                graph: CallGraph, budget: PathBudget, builtins: frozenset,
-                depth: int, stack: tuple, state: _State) -> Iterator[_Alt]:
-    target = graph.resolve_call(unit, call)
-    code = expr_to_source(call)
-
-    if target is not None:
-        state.external = True
         key = target.key
         step = PathStep(
             class_fqn=target.unit.fqn,
@@ -204,39 +215,30 @@ def _trace_call(call: Call, unit: SourceUnit, method: MethodDecl,
         )
         if key in stack:
             chain = stack[stack.index(key):] + (key,)
-            state.record_cycle(tuple(f"{fqn}.{name}" for fqn, name, _ in chain))
+            cycle = RecursionCycle(tuple(f"{fqn}.{name}" for fqn, name, _ in chain))
+            if cycle not in self.cycles:
+                self.cycles.append(cycle)
             yield ((WILD,), ())
             return
-        if depth + 1 > budget.max_call_depth:
-            state.truncated = True
+        if len(stack) >= self.budget.max_call_depth:
+            self.truncated = True
             yield ((WILD,), (step,))
             return
 
         produced = False
-        for ret_expr, through_if in _return_branches(target.method.body, False):
+        for ret_expr, through_if in _return_branches(target.method.body):
             if through_if:
-                state.conditional = True
+                self.conditional = True
             produced = True
             if ret_expr is None:
                 yield ((), (step,))
                 continue
-            for segs, steps in _trace_expr(ret_expr, target.unit, target.method,
-                                           graph, budget, builtins, depth + 1,
-                                           stack + (key,), state):
+            for segs, steps in self.expr(ret_expr, target.unit, target.method,
+                                         stack + (key,)):
                 yield (segs, (step,) + steps)
         if not produced:
             # callee never returns a value; its contribution is opaque
             yield ((WILD,), (step,))
-        return
-
-    state.external = True
-    kind = KIND_BUILTIN if call.method in builtins else KIND_UNKNOWN
-    step = PathStep(
-        class_fqn=_step_class(unit, method, call, graph),
-        call_code=code,
-        callee_kind=kind,
-    )
-    yield ((WILD,), (step,))
 
 
 def enumerate_paths(site: LogCallSite, graph: CallGraph,
@@ -250,8 +252,7 @@ def enumerate_paths(site: LogCallSite, graph: CallGraph,
     calls deeper than ``budget.max_call_depth`` set the truncation flag;
     call cycles collapse to a wildcard and record the offending chain.
     """
-    builtins = frozenset(builtin_methods)
-    state = _State()
+    tracer = _Tracer(graph, budget, frozenset(builtin_methods))
 
     log_step = PathStep(
         class_fqn=site.unit.fqn,
@@ -269,13 +270,12 @@ def enumerate_paths(site: LogCallSite, graph: CallGraph,
     elif not site.args:
         alts = iter([((), ())])
     else:
-        alts = _trace_expr(site.args[0], site.unit, site.method, graph, budget,
-                           builtins, 0, (), state)
+        alts = tracer.expr(site.args[0], site.unit, site.method, ())
 
     paths: list[CallPath] = []
     for segments, steps in alts:
         if len(paths) >= budget.max_paths_per_site:
-            state.truncated = True
+            tracer.truncated = True
             break
         paths.append(CallPath(
             steps=(log_step,) + steps,
@@ -285,10 +285,10 @@ def enumerate_paths(site: LogCallSite, graph: CallGraph,
     return PathEnumeration(
         site=site,
         paths=paths,
-        truncated=state.truncated,
-        cycles=tuple(state.cycles),
-        involves_conditional=state.conditional,
-        involves_external_call=state.external,
+        truncated=tracer.truncated,
+        cycles=tuple(tracer.cycles),
+        involves_conditional=tracer.conditional,
+        involves_external_call=tracer.external,
         placeholder_mismatch=mismatch,
     )
 

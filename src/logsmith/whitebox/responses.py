@@ -58,7 +58,7 @@ def parse_response(text: str) -> list[ExtractedTemplate]:
             continue
         try:
             value, _ = decoder.raw_decode(text, start)
-        except ValueError:
+        except (ValueError, RecursionError):  # nesting past the decoder's reach
             continue
         if not isinstance(value, list):
             continue

@@ -102,6 +102,35 @@ def test_extract_partial_parse_is_ok(tmp_path, capsys):
     assert len(load_repository(out)) == 4
 
 
+_ELSE_IF_CHAIN = "".join(f'if (a.isEmpty()) {{ log.info("b{i}"); }} else '
+                         for i in range(1_000)) + "{ }"
+_DEEPLY_NESTED = {
+    "parentheses": "log.info(" + "(" * 3_000 + "a" + ")" * 3_000 + ");",
+    "else-if chain": _ELSE_IF_CHAIN,
+    "plus chain": "log.info(" + " + ".join(["a"] * 2_000) + ");",
+    "call chain": "log.info(a" + ".trim()" * 3_000 + ");",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_DEEPLY_NESTED))
+@pytest.mark.parametrize("command", ["extract", "report"])
+def test_deeply_nested_file_is_skipped(tmp_path, capsys, command, shape):
+    mixed = tmp_path / "project"
+    shutil.copytree(EXAMPLE_PROJECT, mixed)
+    deep = mixed / "Deep.java"
+    deep.write_text("package com.example;\nclass Deep {\n  void f(String a) {\n    "
+                    f"{_DEEPLY_NESTED[shape]}\n  }}\n}}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([command, str(mixed), "--out", str(out)]) == EXIT_OK
+    err = capsys.readouterr().err
+    assert f"warning: skipped {deep}: line 4: source nested too deep" in err
+    if command == "extract":
+        assert len(load_repository(out)) == 4
+    else:
+        assert out.read_text(encoding="utf-8") == GOLDEN_REPORT.read_text(
+            encoding="utf-8")
+
+
 def test_extract_missing_directory(tmp_path, capsys):
     code = main(["extract", str(tmp_path / "nope"), "--out",
                  str(tmp_path / "repo.jsonl")])

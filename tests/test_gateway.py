@@ -9,17 +9,19 @@ from logsmith.whitebox import (
     GatewayUnavailable,
     HttpGateway,
     MockGateway,
+    ProjectFile,
     RetriesExhausted,
     build_prompt,
     build_verifier_prompt,
+    extract_project,
     invoke_gateway,
     make_gateway,
     parse_response,
     render_records,
 )
-from logsmith.whitebox.responses import ExtractedTemplate
+from logsmith.whitebox.responses import ExtractedTemplate, MalformedResponse
 
-from conftest import EXAMPLE_PROJECT
+from conftest import EXAMPLE_PROJECT, parse_project
 
 GOOD_RESPONSE = render_records([
     ExtractedTemplate(method="A.m", template="x_<.*>", level="info")])
@@ -125,6 +127,21 @@ def test_invoke_zero_retries_means_one_attempt():
     with pytest.raises(RetriesExhausted) as error:
         invoke_gateway(_bundle(), GatewayConfig(max_retries=0), gateway)
     assert error.value.attempts == 1
+
+
+def test_deeply_nested_reply_fails_its_unit_only():
+    reply = "[" * 2_000
+    with pytest.raises(MalformedResponse):
+        parse_response(reply)
+    units, texts = parse_project(EXAMPLE_PROJECT)
+    files = [ProjectFile(unit=unit, text=texts[unit.fqn]) for unit in units]
+    gateway = _FlakyGateway(failures=0, response=reply)
+    result = extract_project(files, gateway, gateway_config=GatewayConfig(max_retries=1))
+    (failed,) = result.failed_units
+    assert failed.unit.class_name == "Foo"
+    assert "gave up after 2 attempts" in failed.error
+    assert gateway.calls == 2
+    assert result.templates == []
 
 
 class _FakeResponse:

@@ -15,6 +15,8 @@ from logsmith.analyzer import (
     parse_source,
 )
 
+from logsmith.analyzer.parser import MAX_NESTING
+
 from conftest import EXAMPLE_PROJECT
 
 
@@ -105,6 +107,30 @@ def test_unterminated_string_rejected():
     with pytest.raises(SourceSyntaxError):
         parse_source('package p;\nclass X {\n  String g() { return "oops; }\n}\n',
                      "X.java")
+
+
+# Each shape at n levels nests n + 1 deep, counting the expression or the
+# condition it sits in; a "+" chain of n operands nests n deep.
+_NESTING_SHAPES = {
+    "parentheses": lambda n: "return " + "(" * n + "a" + ")" * n + ";",
+    "call arguments": lambda n: "return " + "f(" * n + "a" + ")" * n + ";",
+    "plus operands": lambda n: "return " + " + ".join(["a"] * n) + ";",
+    "call links": lambda n: "return a" + ".trim()" * n + ";",
+    "if": lambda n: "if (a) " * n + "return a;",
+    "else if": lambda n: "if (a) return a; else " * n + "return a;",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_NESTING_SHAPES))
+def test_nesting_is_bounded(shape):
+    def source(n):
+        return ("package p;\nclass X {\n  String g(String a) {\n    "
+                f"{_NESTING_SHAPES[shape](n)}\n  }}\n}}\n")
+
+    parse_source(source(MAX_NESTING - 1), "X.java")
+    with pytest.raises(SourceSyntaxError) as error:
+        parse_source(source(MAX_NESTING + 1), "X.java")
+    assert str(error.value) == "line 4: source nested too deep"
 
 
 def test_duplicate_param_names_rejected():

@@ -14,6 +14,7 @@ from logsmith.analyzer import (
     find_log_calls,
     parse_source,
 )
+from logsmith.analyzer.parser import MAX_NESTING
 
 
 def _single_site(*sources: str):
@@ -169,6 +170,39 @@ def test_path_count_is_branch_product():
     capped = enumerate_paths(site, graph, PathBudget(max_paths_per_site=4))
     assert len(capped.paths) == 4
     assert capped.truncated
+
+
+def test_if_without_a_return_does_not_fork():
+    # seven such ifs once forked into 128 identical paths, past the budget
+    unreturning_if = ("    if (a.isEmpty()) {\n      a.trim();\n"
+                      "    } else {\n      a.strip();\n    }\n")
+    site, graph = _single_site(
+        "package p;\nclass X {\n"
+        "  void f(String a) { log.error(g(a)); }\n"
+        f"  String g(String a) {{\n{unreturning_if * 7}"
+        '    return "v_" + a;\n  }\n}\n')
+    enumeration = enumerate_paths(site, graph)
+    assert _rendered(enumeration) == ["v_<.*>"]
+    assert not enumeration.truncated
+    assert enumeration.involves_conditional
+
+
+def test_helper_chain_nested_to_the_bound_enumerates():
+    # every helper returns a "+" chain as deep as the parser accepts, and
+    # the default budget traces through all of them
+    helpers = PathBudget().max_call_depth
+    padding = ' + "x"' * (MAX_NESTING - 1)
+    methods = "".join(
+        f"  String g{i}(String a) {{ return g{i + 1}(a){padding}; }}\n"
+        for i in range(1, helpers))
+    site, graph = _single_site(
+        "package p;\nclass X {\n"
+        "  void f(String a) { log.error(g1(a)); }\n"
+        f'{methods}  String g{helpers}(String a) {{ return "end"{padding}; }}\n}}\n')
+    enumeration = enumerate_paths(site, graph)
+    assert _rendered(enumeration) == ["end" + "x" * (helpers * (MAX_NESTING - 1))]
+    assert not enumeration.truncated
+    assert len(enumeration.paths[0].steps) == helpers + 1
 
 
 def test_bare_return_contributes_nothing():
