@@ -19,6 +19,7 @@ from .paths import (
     PathEnumeration,
     PathStep,
     RecursionCycle,
+    analyze_project,
     enumerate_paths,
 )
 from .report import (
@@ -74,6 +75,7 @@ __all__ = [
     "Stmt",
     "StrLit",
     "UNDEFINED_TEMPLATE",
+    "analyze_project",
     "build_call_graph",
     "build_report",
     "enumerate_paths",

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from ..templates import WILD, TemplateBody
-from .callgraph import CallGraph
-from .logcalls import LogCallSite
+from .callgraph import CallGraph, build_call_graph
+from .logcalls import LogCallSite, find_log_calls
 from .syntax import (
     Call,
     Concat,
@@ -50,6 +50,10 @@ KIND_USER = "user-method"
 KIND_BUILTIN = "built-in"
 KIND_UNKNOWN = "unknown"
 
+# A helper level whose return is nested to the parser's bound costs about 64
+# frames, so 16 levels hit the recursion limit; 12 leaves the caller room.
+MAX_CALL_DEPTH = 12
+
 
 @dataclass(frozen=True)
 class PathBudget:
@@ -59,6 +63,8 @@ class PathBudget:
     def __post_init__(self):
         if self.max_call_depth < 1 or self.max_paths_per_site < 1:
             raise ValueError("path budget values must be positive")
+        if self.max_call_depth > MAX_CALL_DEPTH:
+            raise ValueError(f"max_call_depth must be at most {MAX_CALL_DEPTH}")
 
 
 @dataclass(frozen=True)
@@ -292,3 +298,11 @@ def enumerate_paths(site: LogCallSite, graph: CallGraph,
         placeholder_mismatch=mismatch,
     )
 
+
+def analyze_project(units: list[SourceUnit], budget: PathBudget = PathBudget(),
+                    builtin_methods=DEFAULT_BUILTIN_METHODS) -> list[list[PathEnumeration]]:
+    """Per unit, in input order, the enumeration of each log call in line order;
+    one call graph over all ``units`` resolves every helper call."""
+    graph = build_call_graph(units)
+    return [[enumerate_paths(site, graph, budget, builtin_methods)
+             for site in find_log_calls(unit)] for unit in units]

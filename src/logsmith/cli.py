@@ -15,10 +15,8 @@ from pathlib import Path
 
 from .analyzer import (
     SourceSyntaxError,
-    build_call_graph,
+    analyze_project,
     build_report,
-    enumerate_paths,
-    find_log_calls,
     parse_source,
     render_report,
 )
@@ -105,7 +103,7 @@ def _parse_files(paths: list[Path]) -> tuple[list[ProjectFile], list[str]]:
         try:
             text = path.read_text(encoding="utf-8")
             files.append(ProjectFile(unit=parse_source(text, str(path)), text=text))
-        except (OSError, SourceSyntaxError) as exc:
+        except (OSError, UnicodeDecodeError, SourceSyntaxError) as exc:
             failures.append(f"{path}: {exc}")
     return files, failures
 
@@ -146,7 +144,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
             json.dumps(unit_result.report.to_dict(), indent=2) + "\n",
             encoding="utf-8")
 
-    calls = sum(len(u.sites) for u in result.units)
+    calls = sum(len(u.enumerations) for u in result.units)
     paths_found = sum(len(e.paths) for u in result.units for e in u.enumerations)
     accepted = sum(len(u.accepted) for u in result.units)
     rejected = sum(len(u.rejected) for u in result.units)
@@ -158,9 +156,19 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 
 def _read_lines(source: str) -> list[str]:
-    if source == "-":
-        return sys.stdin.read().splitlines()
-    return Path(source).read_text(encoding="utf-8").splitlines()
+    """The lines of a log file, or of stdin for ``-``, read as UTF-8; invalid
+    bytes become U+FFFD, with one warning counting the lines that held them."""
+    if source == "-" and not hasattr(sys.stdin, "buffer"):
+        return sys.stdin.read().splitlines()  # a text stream without bytes
+    data = sys.stdin.buffer.read() if source == "-" else Path(source).read_bytes()
+    try:
+        return data.decode("utf-8").splitlines()
+    except UnicodeDecodeError:
+        repaired = sum(raw.decode("utf-8", "ignore").encode("utf-8") != raw
+                       for raw in data.splitlines())
+    print(f"warning: replaced invalid UTF-8 in {repaired} lines of {source}",
+          file=sys.stderr)
+    return data.decode("utf-8", errors="replace").splitlines()
 
 
 def _result_record(result) -> dict:
@@ -255,11 +263,10 @@ def cmd_report(args: argparse.Namespace) -> int:
     if paths and not files:
         print("error: no source file parsed", file=sys.stderr)
         return EXIT_PARTIAL
-    graph = build_call_graph([f.unit for f in files])
-    sites = [site for f in files for site in find_log_calls(f.unit)]
-    sites.sort(key=lambda site: (site.unit.path, site.line))
-    enumerations = [enumerate_paths(site, graph, config.budget,
-                                    config.builtin_methods) for site in sites]
+    analyses = analyze_project([f.unit for f in files], config.budget,
+                               config.builtin_methods)
+    enumerations = sorted((e for unit_enums in analyses for e in unit_enums),
+                          key=lambda e: (e.site.unit.path, e.site.line))
     report = build_report(enumerations)
     text = render_report(report)
     if args.out:

@@ -5,14 +5,15 @@ a minimum length per wildcard (>= 1 between constants, >= 0 at the template
 edges). A line matches when it starts with the prefix, ends with the suffix
 and holds each inner constant at its leftmost place after the previous one;
 the text between is captured, and no capture may hold a newline. This
-accepts the lines, and yields the captures, of the non-greedy regex of
-:func:`compile_body`, in time linear in the line. A dispatch index on
-leading and trailing constants, and a needle (the longest inner constant)
-for templates with wildcards at both edges, sends each line only to the
-templates that can match it. The repository keeps a fixed order — most
-constant characters first, then fewest wildcards — and the first template
-in it that matches wins, so the most specific one does. Lines matching
-nothing are routed to the black-box cluster tree.
+accepts the lines, and yields the captures, of the non-greedy reference
+regex built by ``compile_body`` in ``tests/oracle.py``, in time linear in
+the line. A dispatch index on leading and trailing constants, and a needle
+(the longest inner constant) for templates with wildcards at both edges,
+sends each line only to the templates that can match it. The repository
+keeps a fixed order — most constant characters first, then fewest
+wildcards — and the first template in it that matches wins, so the most
+specific one does. Lines matching nothing are routed to the black-box
+cluster tree.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from .blackbox import ClusterTree
-from .templates import Template, TemplateBody, Wildcard
+from .templates import Template, TemplateBody
 
 
 class DuplicateTemplate(Exception):
@@ -125,22 +126,6 @@ class CompiledRepository:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-
-def compile_body(body: TemplateBody, allow_empty_inner: bool = False) -> re.Pattern:
-    """The reference regex of a template; the matcher's scan agrees with it."""
-    last = len(body.segments) - 1
-    parts = []
-    for i, segment in enumerate(body.segments):
-        if isinstance(segment, Wildcard):
-            at_edge = i == 0 or i == last
-            if at_edge or allow_empty_inner:
-                parts.append("(.*?)")
-            else:
-                parts.append("(.+?)")
-        else:
-            parts.append(re.escape(segment))
-    return re.compile("".join(parts))
 
 
 def _entry(template_id: int, template: Template,

@@ -13,18 +13,14 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from ..analyzer import (
-    CallGraph,
     DEFAULT_BUILTIN_METHODS,
     KIND_USER,
-    LogCallSite,
     PathBudget,
     PathEnumeration,
     SourceUnit,
     StaticReport,
-    build_call_graph,
+    analyze_project,
     build_report,
-    enumerate_paths,
-    find_log_calls,
     render_report,
 )
 from ..templates import Template, merge_templates
@@ -43,7 +39,6 @@ class ProjectFile:
 @dataclass
 class UnitExtraction:
     unit: SourceUnit
-    sites: list[LogCallSite]
     enumerations: list[PathEnumeration]
     report: StaticReport
     report_text: str
@@ -66,20 +61,15 @@ class ProjectExtraction:
 
 
 def extract_unit(entry: ProjectFile, project: dict[str, ProjectFile],
-                 graph: CallGraph, gateway, *,
+                 enumerations: list[PathEnumeration], gateway, *,
                  gateway_config: GatewayConfig = GatewayConfig(),
-                 policy: PostProcessPolicy = PostProcessPolicy(),
-                 budget: PathBudget = PathBudget(),
-                 builtin_methods=DEFAULT_BUILTIN_METHODS) -> UnitExtraction:
-    unit = entry.unit
-    sites = find_log_calls(unit)
-    enumerations = [enumerate_paths(site, graph, budget, builtin_methods)
-                    for site in sites]
+                 policy: PostProcessPolicy = PostProcessPolicy()) -> UnitExtraction:
+    """Extract one unit's templates from the enumerations of its log calls."""
     report = build_report(enumerations)
     report_text = render_report(report)
-    result = UnitExtraction(unit=unit, sites=sites, enumerations=enumerations,
+    result = UnitExtraction(unit=entry.unit, enumerations=enumerations,
                             report=report, report_text=report_text)
-    if not sites:
+    if not enumerations:
         return result
 
     result.prompt = build_prompt(_java_code(entry, project, enumerations), report_text)
@@ -123,20 +113,19 @@ def extract_project(files: list[ProjectFile], gateway=None, *,
     project is immutable and gateways are called at most ``workers`` at a
     time); results keep the input file order either way.
     """
-    graph = build_call_graph([f.unit for f in files])
+    analyses = analyze_project([f.unit for f in files], budget, builtin_methods)
     project = {f.unit.fqn: f for f in files}
     if gateway is None:
         gateway = make_gateway(gateway_config, budget, builtin_methods)
 
-    def run_one(entry: ProjectFile) -> UnitExtraction:
-        return extract_unit(entry, project, graph, gateway,
-                            gateway_config=gateway_config, policy=policy,
-                            budget=budget, builtin_methods=builtin_methods)
+    def run_one(entry: ProjectFile, enumerations: list[PathEnumeration]) -> UnitExtraction:
+        return extract_unit(entry, project, enumerations, gateway,
+                            gateway_config=gateway_config, policy=policy)
 
     if workers > 1 and len(files) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            units = list(pool.map(run_one, files))
+            units = list(pool.map(run_one, files, analyses))
     else:
-        units = [run_one(f) for f in files]
+        units = list(map(run_one, files, analyses))
     templates = merge_templates(t for unit_result in units for t in unit_result.accepted)
     return ProjectExtraction(units=units, templates=templates)

@@ -16,9 +16,7 @@ import requests
 from ..analyzer import (
     DEFAULT_BUILTIN_METHODS,
     PathBudget,
-    build_call_graph,
-    enumerate_paths,
-    find_log_calls,
+    analyze_project,
     parse_source,
 )
 from ..templates import TemplateBody
@@ -145,23 +143,14 @@ class MockGateway:
         return "yes" if keeps_content else "no"
 
     def _extract(self, prompt: str) -> str:
-        java_code = self._java_code(prompt)
-        units = []
-        for index, chunk in enumerate(_split_units(java_code)):
-            units.append(parse_source(chunk, path=f"<prompt:{index}>"))
-        graph = build_call_graph(units)
-        records = []
-        for unit in units:
-            for site in find_log_calls(unit):
-                enumeration = enumerate_paths(site, graph, self.budget,
-                                              self.builtin_methods)
-                for path in enumeration.paths:
-                    records.append(ExtractedTemplate(
-                        method=site.method_fqn,
-                        template=path.yielded.render(),
-                        level=site.level,
-                    ))
-        return render_records(records)
+        chunks = _split_units(self._java_code(prompt))
+        units = [parse_source(chunk, path=f"<prompt:{index}>")
+                 for index, chunk in enumerate(chunks)]
+        analyses = analyze_project(units, self.budget, self.builtin_methods)
+        return render_records([
+            ExtractedTemplate(method=e.site.method_fqn, template=path.yielded.render(),
+                              level=e.site.level)
+            for enumerations in analyses for e in enumerations for path in e.paths])
 
     def _java_code(self, prompt: str) -> str:
         start = prompt.find(self.CODE_MARKER)

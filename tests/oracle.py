@@ -11,9 +11,14 @@ trees.
 Preconditions: helpers used in string context return on every branch
 (executions that fall off a method end are discarded), and expression
 statements inside callees are skipped (the subset has no side effects).
+
+``compile_body`` is the reference regex of a template, which the matcher's
+constant scan is tested against.
 """
 
 from __future__ import annotations
+
+import re
 
 from logsmith.analyzer import (
     Call,
@@ -23,7 +28,7 @@ from logsmith.analyzer import (
     Return,
     StrLit,
 )
-from logsmith.matcher import compile_body
+from logsmith.templates import TemplateBody, Wildcard
 
 
 class _NeedDecision(Exception):
@@ -147,8 +152,24 @@ class Interpreter:
         return self._eval(site.args[0], site.unit, run, ())
 
 
+def compile_body(body: TemplateBody, allow_empty_inner: bool = False) -> re.Pattern:
+    """The reference regex of a template; the matcher's scan agrees with it."""
+    last = len(body.segments) - 1
+    parts = []
+    for i, segment in enumerate(body.segments):
+        if isinstance(segment, Wildcard):
+            at_edge = i == 0 or i == last
+            if at_edge or allow_empty_inner:
+                parts.append("(.*?)")
+            else:
+                parts.append("(.+?)")
+        else:
+            parts.append(re.escape(segment))
+    return re.compile("".join(parts))
+
+
 def matches(body, text: str) -> bool:
-    """Match a produced string against a template via the real matcher."""
+    """Match a produced string against a template via the reference regex."""
     return compile_body(body).fullmatch(text) is not None
 
 

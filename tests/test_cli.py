@@ -9,6 +9,8 @@ import pytest
 import yaml
 
 from logsmith import evaluation
+from logsmith.analyzer.parser import MAX_NESTING
+from logsmith.analyzer.paths import MAX_CALL_DEPTH
 from logsmith.cli import (
     EXIT_FATAL, EXIT_OK, EXIT_PARTIAL, _config_flags, _load_config, build_parser, main)
 from logsmith.config import load_config
@@ -131,6 +133,72 @@ def test_deeply_nested_file_is_skipped(tmp_path, capsys, command, shape):
             encoding="utf-8")
 
 
+@pytest.mark.parametrize("command", ["extract", "report"])
+def test_non_utf8_source_is_skipped(tmp_path, capsys, command):
+    mixed = tmp_path / "project"
+    shutil.copytree(EXAMPLE_PROJECT, mixed)
+    latin = mixed / "Z.java"
+    latin.write_bytes('package com.example;\nclass Z {\n  void f() { log.info("caf\xe9"); }\n}\n'
+                      .encode("latin-1"))
+    if command == "extract":
+        outputs = _extract_outputs(mixed, tmp_path / "mixed", [])
+        captured = capsys.readouterr()
+        assert outputs == _extract_outputs(EXAMPLE_PROJECT, tmp_path / "plain", [])
+        assert captured.out.startswith("2 of 3 files parsed, 2 log calls, 4 paths")
+    else:
+        out = tmp_path / "report.txt"
+        assert main(["report", str(mixed), "--out", str(out)]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert out.read_text(encoding="utf-8") == GOLDEN_REPORT.read_text(encoding="utf-8")
+    assert (f"warning: skipped {latin}: 'utf-8' codec can't decode byte 0xe9"
+            in captured.err)
+
+
+# shape: (what helper i returns, nested to the parser's bound; the template)
+_HELPER_CHAINS = {
+    "plus chain": (lambda i: f"g{i + 1}(a)" + ' + "x"' * (MAX_NESTING - 1),
+                   "end<.*>" + "x" * ((MAX_CALL_DEPTH - 1) * (MAX_NESTING - 1))),
+    "call chain": (lambda i: f"g{i + 1}(a" + ".trim()" * (MAX_NESTING - 2) + ")",
+                   "end<.*>"),
+    "nested call arguments": (
+        lambda i: f"g{i + 1}(" + "h(" * (MAX_NESTING - 2) + "a" + ")" * (MAX_NESTING - 1),
+        "end<.*>"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_HELPER_CHAINS))
+@pytest.mark.parametrize("command", ["extract", "report"])
+def test_helper_chain_at_the_call_depth_bound(tmp_path, capsys, command, shape):
+    returned, template = _HELPER_CHAINS[shape]
+    methods = "".join(f"  String g{i}(String a) {{ return {returned(i)}; }}\n"
+                      for i in range(1, MAX_CALL_DEPTH))
+    project = tmp_path / "project"
+    project.mkdir()
+    (project / "X.java").write_text(
+        "package p;\nclass X {\n  void f(String a) { log.error(g1(a)); }\n"
+        f'{methods}  String g{MAX_CALL_DEPTH}(String a) {{ return "end" + a; }}\n}}\n',
+        encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([command, str(project), "--out", str(out),
+                 "--max-call-depth", str(MAX_CALL_DEPTH)]) == EXIT_OK
+    assert "warning" not in capsys.readouterr().err
+    if command == "extract":
+        assert [t.body.render() for t in load_repository(out)] == [template]
+    else:
+        text = out.read_text(encoding="utf-8")
+        assert f"  {MAX_CALL_DEPTH + 1}. Class: p.X\n" in text
+        assert text.endswith("A total of 1 log calls, with 1 complete paths found.\n")
+
+
+@pytest.mark.parametrize("command", ["extract", "report"])
+def test_call_depth_above_the_bound_is_a_config_error(tmp_path, capsys, command):
+    code = main([command, str(EXAMPLE_PROJECT), "--out", str(tmp_path / "out"),
+                 "--max-call-depth", str(MAX_CALL_DEPTH + 1)])
+    assert code == EXIT_FATAL
+    assert (f"error: max_call_depth must be at most {MAX_CALL_DEPTH}"
+            in capsys.readouterr().err)
+
+
 def test_extract_missing_directory(tmp_path, capsys):
     code = main(["extract", str(tmp_path / "nope"), "--out",
                  str(tmp_path / "repo.jsonl")])
@@ -189,6 +257,32 @@ def test_parse_from_stdin(repo_path, monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO("User_ROOT_NotFound\n"))
     assert main(["parse", str(repo_path), "-"]) == EXIT_OK
     assert "1 lines: 1 matched" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_parse_replaces_invalid_bytes(repo_path, tmp_path, monkeypatch, capsys, source):
+    log = tmp_path / "app.log"
+    out = tmp_path / "out.jsonl"
+    for data, warning in ((b"User_ROOT_NotFound\nplain\n", ""),
+                          (b"a\xffb\nUser_ROOT_NotFound\nc\xfe\xfe\n", "2 lines")):
+        if source == "file":
+            log.write_bytes(data)
+            argv = ["parse", str(repo_path), str(log), "--out", str(out)]
+        else:
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+            argv = ["parse", str(repo_path), "-", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        captured = capsys.readouterr()
+        if warning:
+            assert captured.err == (f"warning: replaced invalid UTF-8 in {warning} "
+                                    f"of {argv[2]}\n")
+        else:
+            assert captured.err == ""
+        records = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+        matched = [r["line"] for r in records if r["matched"]]
+        assert matched == ["User_ROOT_NotFound"]
+    assert [r["line"] for r in records] == ["a\ufffdb", "User_ROOT_NotFound", "c\ufffd\ufffd"]
+    assert "3 lines: 1 matched, 2 routed" in captured.out
 
 
 def test_parse_header_stripping(repo_path, tmp_path, capsys):

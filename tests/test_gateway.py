@@ -144,6 +144,17 @@ def test_deeply_nested_reply_fails_its_unit_only():
     assert result.templates == []
 
 
+def test_unit_without_log_calls_makes_no_gateway_call():
+    units, texts = parse_project(EXAMPLE_PROJECT)
+    files = [ProjectFile(unit=unit, text=texts[unit.fqn]) for unit in units]
+    gateway = _FlakyGateway(failures=0)
+    bar, foo = extract_project(files, gateway).units
+    assert gateway.calls == 1
+    assert bar.enumerations == [] and bar.prompt is None and bar.raw_response is None
+    assert bar.report_text.startswith("Extracted 0 log calls")
+    assert foo.raw_response == GOOD_RESPONSE
+
+
 class _FakeResponse:
     def __init__(self, status_code: int = 200, payload=None):
         self.status_code = status_code

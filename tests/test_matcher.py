@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 from logsmith.blackbox import ClusterTree
 from logsmith.matcher import (
     DuplicateTemplate,
-    compile_body,
     compile_repository,
     match_line,
     report_counts,
     run_stream,
 )
 from logsmith.templates import WILD, Template, TemplateBody
+from oracle import compile_body
 
 
 def _template(text: str, **kwargs) -> Template:

@@ -8,6 +8,11 @@ Any disagreement surfaces as a counterexample string.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from logsmith.analyzer import (
@@ -83,3 +88,24 @@ def test_generator_is_deterministic_and_in_subset():
         assert first == second
         for path, text in first:
             parse_source(text, path)
+
+
+def test_oracle_loads_with_only_src_on_the_path(tmp_path):
+    # the benchmark loads this file by path with only src/ importable, so a
+    # stray import from tests/ would break it; pytest's own path hides that
+    root = Path(__file__).resolve().parent.parent
+    oracle_path = str(root / "tests" / "oracle.py")
+    script = (
+        "import importlib.util, sys\n"
+        f"sys.path.insert(0, {str(root / 'src')!r})\n"
+        f"spec = importlib.util.spec_from_file_location('oracle', {oracle_path!r})\n"
+        "oracle = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(oracle)\n"
+        "from logsmith import TemplateBody\n"
+        "print(oracle.matches(TemplateBody.parse('User_<.*>_NotFound'), 'User_ADMIN_NotFound'))\n"
+    )
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "True\n"

@@ -9,12 +9,15 @@ from logsmith.analyzer import (
     KIND_USER,
     PathBudget,
     RecursionCycle,
+    analyze_project,
     build_call_graph,
     enumerate_paths,
     find_log_calls,
     parse_source,
 )
 from logsmith.analyzer.parser import MAX_NESTING
+
+from generator import generate_project
 
 
 def _single_site(*sources: str):
@@ -235,6 +238,51 @@ def test_call_arguments_are_never_traced():
         '      return "A";\n    } else {\n      return "B";\n    }\n  }\n}\n')
     enumeration = enumerate_paths(site, graph)
     assert _rendered(enumeration) == ["stable"]
+
+
+def _generated_units(seeds):
+    """Units of several generator projects, one package each, sorted by path."""
+    units = []
+    for seed in seeds:
+        for name, text in generate_project(seed):
+            text = text.replace("package com.gen;", f"package com.gen.s{seed};", 1)
+            text = text.replace("import com.gen.", f"import com.gen.s{seed}.")
+            units.append(parse_source(text, f"s{seed:03d}/{name}"))
+    return units
+
+
+def _summary(enumeration):
+    site = enumeration.site
+    return (site.unit.path, site.line, _rendered(enumeration),
+            [path.steps for path in enumeration.paths], enumeration.truncated,
+            enumeration.cycles, enumeration.involves_conditional,
+            enumeration.involves_external_call, enumeration.placeholder_mismatch)
+
+
+def test_analyze_project_agrees_with_per_site_enumeration():
+    units = _generated_units(range(40))
+    budget = PathBudget(max_call_depth=2, max_paths_per_site=3)
+    builtins = ("trim", "valueOf")
+    graph = build_call_graph(units)
+    sites = sorted((site for unit in units for site in find_log_calls(unit)),
+                   key=lambda site: (site.unit.path, site.line))
+    expected = [_summary(enumerate_paths(site, graph, budget, builtins))
+                for site in sites]
+    analyses = analyze_project(units, budget, builtins)
+    assert len(analyses) == len(units)
+    assert [_summary(e) for enumerations in analyses for e in enumerations] == expected
+    # the budget and the built-in names each reach the enumeration
+    for other in (analyze_project(units, PathBudget(), builtins),
+                  analyze_project(units, budget)):
+        assert [_summary(e) for enumerations in other for e in enumerations] != expected
+
+
+def test_analyze_project_gives_a_unit_without_log_calls_no_enumeration(example_units):
+    assert [unit.class_name for unit in example_units] == ["Bar", "Foo"]
+    bar, foo = analyze_project(example_units)
+    assert bar == []
+    assert [_rendered(e) for e in foo] == [["User_<.*>_NotFound", "Invalid_User_ID<.*>"],
+                                          ["Guest_<.*>", "Unknown_<.*>"]]
 
 
 def test_budget_validation():
