@@ -105,17 +105,6 @@ class PathEnumeration:
 _Alt = tuple[tuple, tuple]
 
 
-def _literal_segments(text: str) -> list:
-    """Split a format literal on ``{}`` placeholders, each becoming a wildcard."""
-    parts = text.split("{}")
-    raw: list = []
-    for i, part in enumerate(parts):
-        if i > 0:
-            raw.append(WILD)
-        raw.append(part)
-    return raw
-
-
 def _step_class(unit: SourceUnit, method: MethodDecl, call: Call,
                 graph: CallGraph) -> str:
     """Best-effort class name for a built-in or unresolved call step."""
@@ -272,7 +261,7 @@ def enumerate_paths(site: LogCallSite, graph: CallGraph,
         placeholders = literal.count("{}")
         if placeholders > 0 and placeholders != len(site.args) - 1:
             mismatch = True
-        alts: Iterator[_Alt] = iter([(tuple(_literal_segments(literal)), ())])
+        alts: Iterator[_Alt] = iter([(TemplateBody.parse(literal, "{}").segments, ())])
     elif not site.args:
         alts = iter([((), ())])
     else:

@@ -11,7 +11,9 @@ import argparse
 import json
 import sys
 import time
+from contextlib import nullcontext
 from pathlib import Path
+from typing import Iterator
 
 from .analyzer import (
     SourceSyntaxError,
@@ -28,7 +30,7 @@ from .evaluation import (
     score,
     time_online,
 )
-from .matcher import DuplicateTemplate, compile_repository, run_stream
+from .matcher import DuplicateTemplate, MatchCounts, compile_repository, match_stream
 from .templates import (
     Template,
     TemplateBody,
@@ -155,20 +157,28 @@ def cmd_extract(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _read_lines(source: str) -> list[str]:
-    """The lines of a log file, or of stdin for ``-``, read as UTF-8; invalid
-    bytes become U+FFFD, with one warning counting the lines that held them."""
-    if source == "-" and not hasattr(sys.stdin, "buffer"):
-        return sys.stdin.read().splitlines()  # a text stream without bytes
-    data = sys.stdin.buffer.read() if source == "-" else Path(source).read_bytes()
-    try:
-        return data.decode("utf-8").splitlines()
-    except UnicodeDecodeError:
-        repaired = sum(raw.decode("utf-8", "ignore").encode("utf-8") != raw
-                       for raw in data.splitlines())
-    print(f"warning: replaced invalid UTF-8 in {repaired} lines of {source}",
-          file=sys.stderr)
-    return data.decode("utf-8", errors="replace").splitlines()
+def _log_lines(source: str) -> Iterator[str]:
+    """Lines of a log file (opened now, before any output) or of stdin for ``-``,
+    as they arrive; a warning at the end counts lines whose bad UTF-8 became U+FFFD."""
+    if source == "-" and not hasattr(sys.stdin, "buffer"):  # a text stream, no bytes
+        return (line for text in sys.stdin for line in text.splitlines())
+    handle = nullcontext(sys.stdin.buffer) if source == "-" else open(source, "rb")
+    return _decode_lines(handle, source)
+
+
+def _decode_lines(handle, source: str) -> Iterator[str]:
+    repaired = 0
+    with handle as stream:
+        for raw in stream:
+            try:
+                text = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                text = raw.decode("utf-8", errors="replace")
+                repaired += 1
+            yield from text.splitlines()
+    if repaired:
+        print(f"warning: replaced invalid UTF-8 in {repaired} lines of {source}",
+              file=sys.stderr)
 
 
 def _result_record(result) -> dict:
@@ -185,17 +195,14 @@ def _result_record(result) -> dict:
 
 def cmd_parse(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    templates = load_repository(args.repo)
-    compiled = compile_repository(templates, config.allow_empty_inner)
-    lines = _read_lines(args.log_input)
-    tree = config.make_tree()
-    results, counts = run_stream(compiled, lines, tree, config.header_pattern)
-
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            for result in results:
-                handle.write(json.dumps(_result_record(result), ensure_ascii=False)
-                             + "\n")
+    compiled = compile_repository(load_repository(args.repo), config.allow_empty_inner)
+    lines = _log_lines(args.log_input)
+    tree, counts = config.make_tree(), MatchCounts()
+    results = match_stream(compiled, lines, counts, tree, config.header_pattern)
+    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext() as out:
+        for result in results:
+            if out is not None:
+                out.write(json.dumps(_result_record(result), ensure_ascii=False) + "\n")
     if args.append_blackbox:
         appended = append_repository(tree.export_templates(), args.repo)
         print(f"appended {appended} black-box templates to {args.repo}")
@@ -204,8 +211,7 @@ def cmd_parse(args: argparse.Namespace) -> int:
           f"{counts.dropped_empty} dropped (match rate {counts.match_rate:.3f})")
     by_count = sorted(counts.per_template.items(), key=lambda kv: (-kv[1], kv[0]))
     for template_id, count in by_count:
-        rendered = compiled.entries[template_id].template.body.render()
-        print(f"  {count:8d}  {rendered}")
+        print(f"  {count:8d}  {compiled.entries[template_id].text}")
     return EXIT_OK
 
 
@@ -231,7 +237,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             unique.setdefault(canonical(body), body)
         compiled = compile_repository([Template(body=b) for b in unique.values()],
                                       config.allow_empty_inner)
-        report.timing = time_online(compiled, _read_lines(args.log_file),
+        report.timing = time_online(compiled, list(_log_lines(args.log_file)),
                                     repetitions=args.repetitions,
                                     tree_factory=config.make_tree,
                                     header_pattern=config.header_pattern)

@@ -13,15 +13,17 @@ sends each line only to the templates that can match it. The repository
 keeps a fixed order — most constant characters first, then fewest
 wildcards — and the first template in it that matches wins, so the most
 specific one does. Lines matching nothing are routed to the black-box
-cluster tree.
+cluster tree. ``match_stream`` yields each line's result as the line
+arrives and keeps running counts, so memory holds no part of the stream.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .blackbox import ClusterTree
 from .templates import Template, TemplateBody
@@ -236,7 +238,7 @@ def match_line(repo: CompiledRepository, line: str,
 
 @dataclass
 class MatchCounts:
-    per_template: dict[int, int] = field(default_factory=dict)
+    per_template: Counter[int] = field(default_factory=Counter)
     routed: int = 0
     dropped_empty: int = 0
     total: int = 0
@@ -250,40 +252,36 @@ class MatchCounts:
         return self.matched / self.total if self.total else 0.0
 
 
-def report_counts(results: list[MatchResult]) -> MatchCounts:
-    counts = MatchCounts(total=len(results))
-    for result in results:
-        if result.matched:
-            counts.per_template[result.template_id] = (
-                counts.per_template.get(result.template_id, 0) + 1)
-        else:
-            counts.routed += 1
-    return counts
+def match_stream(repo: CompiledRepository, lines: Iterable[str], counts: MatchCounts,
+                 tree: ClusterTree | None = None,
+                 header_pattern: str | None = None) -> Iterator[MatchResult]:
+    """Match lines as they arrive, stripping the configured header prefix first.
 
-
-def run_stream(repo: CompiledRepository, lines, tree: ClusterTree | None = None,
-               header_pattern: str | None = None) -> tuple[list[MatchResult], MatchCounts]:
-    """Match a line stream, stripping the configured header prefix first.
-
-    Lines empty after header stripping are dropped and counted; for the
-    rest, matched + routed equals the number of surviving lines.
+    Each result is yielded before the next line is read, with ``counts``
+    already current. Lines empty after header stripping are dropped and
+    counted; for the rest, matched + routed equals the surviving lines.
     """
     header = re.compile(header_pattern) if header_pattern else None
-    results: list[MatchResult] = []
-    dropped = 0
-    total = 0
     for line in lines:
-        total += 1
+        counts.total += 1
         message = line.rstrip("\n")
         if header is not None:
             prefix = header.match(message)
             if prefix is not None:
                 message = message[prefix.end():]
         if not message.strip():
-            dropped += 1
+            counts.dropped_empty += 1
             continue
-        results.append(match_line(repo, message, tree))
-    counts = report_counts(results)
-    counts.dropped_empty = dropped
-    counts.total = total
-    return results, counts
+        result = match_line(repo, message, tree)
+        if result.matched:
+            counts.per_template[result.template_id] += 1
+        else:
+            counts.routed += 1
+        yield result
+
+
+def run_stream(repo: CompiledRepository, lines, tree: ClusterTree | None = None,
+               header_pattern: str | None = None) -> tuple[list[MatchResult], MatchCounts]:
+    """Every result of :func:`match_stream` over ``lines``, and the counts."""
+    counts = MatchCounts()
+    return list(match_stream(repo, lines, counts, tree, header_pattern)), counts

@@ -126,13 +126,14 @@ class Template:
 
     @classmethod
     def from_record(cls, record: dict) -> "Template":
-        return cls(
-            body=TemplateBody.parse(record["template"]),
-            level=record.get("level"),
-            methods=tuple(record.get("methods", ())),
-            source=record.get("source", "whitebox"),
-            match_count=record.get("match_count"),
-        )
+        if not isinstance(record, dict) or not isinstance(record.get("template"), str):
+            raise ValueError("a record must be an object with a string template")
+        methods = record.get("methods", [])
+        if not (isinstance(methods, list) and all(isinstance(m, str) for m in methods)):
+            raise ValueError("methods must be a list of strings")
+        return cls(body=TemplateBody.parse(record["template"]), level=record.get("level"),
+                   methods=tuple(methods), source=record.get("source", "whitebox"),
+                   match_count=record.get("match_count"))
 
 
 def merge_templates(templates: Iterable[Template]) -> list[Template]:
@@ -184,11 +185,15 @@ def append_repository(templates: Iterable[Template], path: str | Path) -> int:
 
 
 def load_repository(path: str | Path) -> list[Template]:
+    """The templates of a repository file; ValueError names a bad record's line."""
     templates = []
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
+        for number, line in enumerate(handle, 1):
             line = line.strip()
             if not line:
                 continue
-            templates.append(Template.from_record(json.loads(line)))
+            try:
+                templates.append(Template.from_record(json.loads(line)))
+            except (ValueError, RecursionError) as exc:  # too deep to decode
+                raise ValueError(f"{path}: line {number}: {exc}") from None
     return templates

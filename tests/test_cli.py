@@ -1,9 +1,15 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 import yaml
@@ -18,6 +24,8 @@ from logsmith.templates import load_repository
 
 from conftest import EXAMPLE_PROJECT, GOLDEN_REPORT
 from generator import generate_project
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 EXPECTED_TEMPLATES = {
     "User_<.*>_NotFound": "error",
@@ -283,6 +291,85 @@ def test_parse_replaces_invalid_bytes(repo_path, tmp_path, monkeypatch, capsys, 
         assert matched == ["User_ROOT_NotFound"]
     assert [r["line"] for r in records] == ["a\ufffdb", "User_ROOT_NotFound", "c\ufffd\ufffd"]
     assert "3 lines: 1 matched, 2 routed" in captured.out
+
+
+def _three_template_repo(tmp_path):
+    repo = tmp_path / "repo.jsonl"
+    repo.write_text("".join(json.dumps({"template": t}) + "\n" for t in (
+        "request <.*> served", "user <.*> logged in", "queue <.*> empty")),
+        encoding="utf-8")
+    return repo
+
+
+def _stream_lines(count):
+    kinds = ("request {} served", "user u{} logged in", "queue q{} empty",
+             "connect to host{} failed")
+    return [kinds[i % 4].format(i) for i in range(count)]
+
+
+def test_parse_memory_does_not_grow_with_the_stream(tmp_path, capsys):
+    repo = _three_template_repo(tmp_path)
+    out = tmp_path / "out.jsonl"
+    peaks = {}
+    for count in (1_000, 1_000, 10_000):  # the first run warms caches
+        log = tmp_path / f"{count}.log"
+        log.write_text("\n".join(_stream_lines(count)) + "\n", encoding="utf-8")
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert main(["parse", str(repo), str(log), "--out", str(out)]) == EXIT_OK
+            peaks[count] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f"{count} lines: {count * 3 // 4} matched" in capsys.readouterr().out
+    assert abs(peaks[10_000] - peaks[1_000]) < 0.1 * peaks[1_000], peaks
+
+
+def test_parse_missing_log_leaves_out_untouched(tmp_path, capsys):
+    repo = _three_template_repo(tmp_path)
+    out = tmp_path / "out.jsonl"
+    out.write_bytes(b"earlier results\n")
+    argv = ["parse", str(repo), str(tmp_path / "none.log"), "--out", str(out)]
+    assert main(argv) == EXIT_FATAL
+    assert "error:" in capsys.readouterr().err
+    assert out.read_bytes() == b"earlier results\n"
+
+
+def test_parse_reads_a_real_pipe(tmp_path, capsys):
+    # stdin as the OS gives it: a pipe read through sys.stdin.buffer
+    repo = _three_template_repo(tmp_path)
+    data = (b"request 1 served\nuser \xff logged in\r\n"
+            b"connect to a\xfe failed\n\nqueue q empty")
+    piped, from_file = tmp_path / "piped.jsonl", tmp_path / "file.jsonl"
+    argv = ["parse", str(repo), "-", "--out", str(piped)]
+    done = subprocess.run([sys.executable, "-m", "logsmith.cli", *argv],
+                          input=data, capture_output=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert done.returncode == EXIT_OK, done.stderr
+    assert done.stderr == b"warning: replaced invalid UTF-8 in 2 lines of -\n"
+    assert b"5 lines: 3 matched, 1 routed, 1 dropped" in done.stdout
+    log = tmp_path / "app.log"
+    log.write_bytes(data)
+    assert main(["parse", str(repo), str(log), "--out", str(from_file)]) == EXIT_OK
+    assert piped.read_bytes() == from_file.read_bytes()
+    records = [json.loads(line) for line in piped.read_text(encoding="utf-8").splitlines()]
+    assert records[1]["line"] == "user \ufffd logged in" and records[1]["matched"]
+
+
+@pytest.mark.parametrize("record", [
+    '{"level": "info"}', "[1]", '"str"', '{"template": 5}',
+    '{"template": "a <.*>", "methods": 7}', "[" * 100_000 + "]" * 100_000],
+    ids=["no-template", "list", "string", "number-template", "number-methods",
+         "too-deep"])
+@pytest.mark.parametrize("command", ["parse", "eval"])
+def test_malformed_repository_record_is_fatal(tmp_path, capsys, record, command):
+    repo = tmp_path / "bad.jsonl"
+    repo.write_text('{"template": "ok <.*>"}\n' + record + "\n", encoding="utf-8")
+    other = tmp_path / "other.txt"
+    other.write_text("ok <.*>\n", encoding="utf-8")
+    assert main([command, str(repo), str(other)]) == EXIT_FATAL
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{repo}: line 2: " in err
 
 
 def test_parse_header_stripping(repo_path, tmp_path, capsys):

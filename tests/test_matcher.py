@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from logsmith.blackbox import ClusterTree
 from logsmith.matcher import (
     DuplicateTemplate,
+    MatchCounts,
     compile_repository,
     match_line,
-    report_counts,
+    match_stream,
     run_stream,
 )
 from logsmith.templates import WILD, Template, TemplateBody
@@ -161,15 +162,37 @@ def test_run_stream_header_stripping():
 
 def test_report_counts_recounts_results():
     repo = _repo("a <.*>", "b <.*>")
-    results = [match_line(repo, line) for line in
-               ["a 1", "a 2", "b 1", "zzz"]]
-    counts = report_counts(results)
+    _, counts = run_stream(repo, ["a 1", "a 2", "b 1", "zzz"])
     assert counts.matched == 3
     assert counts.routed == 1
     assert counts.total == 4
     by_template = {repo.entries[tid].template.body.render(): n
                    for tid, n in counts.per_template.items()}
     assert by_template == {"a <.*>": 2, "b <.*>": 1}
+
+
+def test_match_stream_pulls_one_line_per_result():
+    # each result comes out before the next line is read, with the counts
+    # already taking it in
+    repo = _repo("a <.*>", "b <.*>")
+    pulled = []
+
+    def lines():
+        for line in ["a 1", "zzz", "b 2", "a 3"]:
+            pulled.append(line)
+            yield line
+
+    counts = MatchCounts()
+    stream = match_stream(repo, lines(), counts, ClusterTree())
+    expected = [("a 1", True, 1, 0), ("zzz", False, 1, 1),
+                ("b 2", True, 2, 1), ("a 3", True, 3, 1)]
+    for number, (line, matched, n_matched, n_routed) in enumerate(expected, 1):
+        result = next(stream)
+        assert len(pulled) == number
+        assert (result.log_line, result.matched) == (line, matched)
+        assert (counts.total, counts.matched, counts.routed) == (number, n_matched,
+                                                                  n_routed)
+    assert next(stream, None) is None
 
 
 def test_specific_template_dominates_mixed_stream():
