@@ -2,16 +2,20 @@
 
 Exit codes: 0 on success (warnings allowed), 1 when inputs were present
 but none were usable (e.g. no project file parsed), 2 on fatal errors
-such as unreadable inputs or invalid configuration.
+such as unreadable inputs or invalid configuration, 130 when ``parse``
+is interrupted (SIGINT) after printing the summary of the lines so far.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import stat
 import sys
 import time
 from contextlib import nullcontext
+from json.encoder import encode_basestring as _quote
 from pathlib import Path
 from typing import Iterator
 
@@ -30,7 +34,13 @@ from .evaluation import (
     score,
     time_online,
 )
-from .matcher import DuplicateTemplate, MatchCounts, compile_repository, match_stream
+from .matcher import (
+    DuplicateTemplate,
+    MatchCounts,
+    MatchResult,
+    compile_repository,
+    match_stream,
+)
 from .templates import (
     Template,
     TemplateBody,
@@ -43,6 +53,7 @@ from .whitebox.extract import ProjectFile, extract_project
 EXIT_OK = 0
 EXIT_PARTIAL = 1
 EXIT_FATAL = 2
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 
 
 def _names(text: str) -> list[str]:
@@ -181,29 +192,50 @@ def _decode_lines(handle, source: str) -> Iterator[str]:
               file=sys.stderr)
 
 
-def _result_record(result) -> dict:
-    record = {"line": result.log_line, "matched": result.matched}
+def _record_line(result: MatchResult) -> str:
+    """One match-results record, byte for byte what ``json.dumps(record,
+    ensure_ascii=False)`` writes for its keys in this order, without a dict or
+    an encoder per line: strings go through ``json``'s own quoting function."""
+    head = f'{{"line": {_quote(result.log_line)}, "matched": '
     if result.matched:
-        record["template_id"] = result.template_id
-        record["template"] = result.template
-        record["captures"] = list(result.captures)
-    elif result.cluster_id is not None:
-        record["cluster_id"] = result.cluster_id
-        record["cluster_template"] = result.cluster_template
-    return record
+        captures = ", ".join(map(_quote, result.captures))
+        return (f'{head}true, "template_id": {result.template_id}, '
+                f'"template": {_quote(result.template)}, "captures": [{captures}]}}')
+    if result.cluster_id is None:
+        return f"{head}false}}"
+    return (f'{head}false, "cluster_id": {result.cluster_id}, '
+            f'"cluster_template": {_quote(result.cluster_template)}}}')
+
+
+def _refuse_out_is_input(out: str, source: str) -> None:
+    """Opening ``--out`` truncates it, so it must not be the regular file
+    being read (a device such as /dev/null may be both)."""
+    try:
+        out_stat = os.stat(out)
+        in_stat = os.fstat(sys.stdin.fileno()) if source == "-" else os.stat(source)
+    except (AttributeError, OSError, ValueError):  # no --out yet, or no stdin file
+        return
+    if stat.S_ISREG(in_stat.st_mode) and os.path.samestat(out_stat, in_stat):
+        raise ValueError(f"--out {out} is the log input {source}")
 
 
 def cmd_parse(args: argparse.Namespace) -> int:
     config = _load_config(args)
     compiled = compile_repository(load_repository(args.repo), config.allow_empty_inner)
+    if args.out:
+        _refuse_out_is_input(args.out, args.log_input)
     lines = _log_lines(args.log_input)
     tree, counts = config.make_tree(), MatchCounts()
     results = match_stream(compiled, lines, counts, tree, config.header_pattern)
+    interrupted = False
     with open(args.out, "w", encoding="utf-8") if args.out else nullcontext() as out:
-        for result in results:
-            if out is not None:
-                out.write(json.dumps(_result_record(result), ensure_ascii=False) + "\n")
-    if args.append_blackbox:
+        try:
+            for result in results:
+                if out is not None:
+                    out.write(_record_line(result) + "\n")
+        except KeyboardInterrupt:
+            interrupted = True
+    if args.append_blackbox and not interrupted:
         appended = append_repository(tree.export_templates(), args.repo)
         print(f"appended {appended} black-box templates to {args.repo}")
 
@@ -212,6 +244,9 @@ def cmd_parse(args: argparse.Namespace) -> int:
     by_count = sorted(counts.per_template.items(), key=lambda kv: (-kv[1], kv[0]))
     for template_id, count in by_count:
         print(f"  {count:8d}  {compiled.entries[template_id].text}")
+    if interrupted:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
     return EXIT_OK
 
 

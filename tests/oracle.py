@@ -13,7 +13,8 @@ Preconditions: helpers used in string context return on every branch
 statements inside callees are skipped (the subset has no side effects).
 
 ``compile_body`` is the reference regex of a template, which the matcher's
-constant scan is tested against.
+constant scan is tested against, and ``result_record`` is the reference
+match-results record, which ``parse --out`` is tested against.
 """
 
 from __future__ import annotations
@@ -166,6 +167,20 @@ def compile_body(body: TemplateBody, allow_empty_inner: bool = False) -> re.Patt
         else:
             parts.append(re.escape(segment))
     return re.compile("".join(parts))
+
+
+def result_record(result) -> dict:
+    """The reference record of a match result; ``json.dumps(record,
+    ensure_ascii=False)`` of it is one line of ``parse --out``."""
+    record = {"line": result.log_line, "matched": result.matched}
+    if result.matched:
+        record["template_id"] = result.template_id
+        record["template"] = result.template
+        record["captures"] = list(result.captures)
+    elif result.cluster_id is not None:
+        record["cluster_id"] = result.cluster_id
+        record["cluster_template"] = result.cluster_template
+    return record
 
 
 def matches(body, text: str) -> bool:

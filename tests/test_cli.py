@@ -13,17 +13,22 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logsmith import evaluation
 from logsmith.analyzer.parser import MAX_NESTING
 from logsmith.analyzer.paths import MAX_CALL_DEPTH
 from logsmith.cli import (
-    EXIT_FATAL, EXIT_OK, EXIT_PARTIAL, _config_flags, _load_config, build_parser, main)
+    EXIT_FATAL, EXIT_INTERRUPTED, EXIT_OK, EXIT_PARTIAL, _config_flags, _load_config,
+    _record_line, build_parser, main)
 from logsmith.config import load_config
+from logsmith.matcher import MatchResult
 from logsmith.templates import load_repository
 
-from conftest import EXAMPLE_PROJECT, GOLDEN_REPORT
+from conftest import EXAMPLE_PROJECT, FIXTURES, GOLDEN_REPORT
 from generator import generate_project
+from oracle import result_record
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -354,6 +359,83 @@ def test_parse_reads_a_real_pipe(tmp_path, capsys):
     assert piped.read_bytes() == from_file.read_bytes()
     records = [json.loads(line) for line in piped.read_text(encoding="utf-8").splitlines()]
     assert records[1]["line"] == "user \ufffd logged in" and records[1]["matched"]
+
+
+def test_parse_out_matches_golden_bytes(tmp_path, capsys):
+    # quotes, backslashes, control characters, non-ASCII, empty captures, routed lines
+    golden = FIXTURES / "parse_golden"
+    out = tmp_path / "out.jsonl"
+    argv = ["parse", str(golden / "repo.jsonl"), str(golden / "app.log"),
+            "--allow-empty-inner", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    assert "15 lines: 8 matched, 5 routed, 2 dropped" in capsys.readouterr().out
+    assert out.read_bytes() == (golden / "expected.jsonl").read_bytes()
+
+
+_RECORD_TEXT = st.text(st.one_of(
+    st.characters(max_codepoint=0x7F),  # quotes, backslash, C0 controls, DEL
+    st.sampled_from("\u0085\u2028\u2029\ufeffé日🚀"), st.characters()), max_size=8)
+_MATCHED = st.builds(MatchResult, log_line=_RECORD_TEXT, matched=st.just(True),
+                     template_id=st.integers(0, 10**9), template=_RECORD_TEXT,
+                     captures=st.lists(_RECORD_TEXT, max_size=3).map(tuple))
+_ROUTED = st.builds(MatchResult, log_line=_RECORD_TEXT, matched=st.just(False),
+                    cluster_id=st.integers(0, 10**9), cluster_template=_RECORD_TEXT)
+_UNCLUSTERED = st.builds(MatchResult, log_line=_RECORD_TEXT, matched=st.just(False))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(_MATCHED, _ROUTED, _UNCLUSTERED))
+def test_record_line_is_the_reference_json(result):
+    assert _record_line(result) == json.dumps(result_record(result), ensure_ascii=False)
+
+
+@pytest.mark.parametrize("source", ["hard-link", "stdin"])
+def test_parse_refuses_out_that_is_the_log(tmp_path, monkeypatch, capsys, source):
+    repo = _three_template_repo(tmp_path)
+    log = tmp_path / "app.log"
+    data = "".join(line + "\n" for line in _stream_lines(8)).encode()
+    log.write_bytes(data)
+    if source == "stdin":
+        stdin = open(log, encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", stdin)
+        argv = ["parse", str(repo), "-", "--out", str(log)]
+    else:
+        os.link(log, tmp_path / "alias.log")
+        argv = ["parse", str(repo), str(log), "--out", str(tmp_path / "alias.log")]
+    try:
+        assert main(argv) == EXIT_FATAL
+    finally:
+        if source == "stdin":
+            stdin.close()
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --out ") and captured.out == ""
+    assert log.read_bytes() == data
+    # a device is not truncated by opening it, so it may be both
+    assert main(["parse", str(repo), os.devnull, "--out", os.devnull]) == EXIT_OK
+
+
+def test_parse_interrupt_prints_the_summary_so_far(tmp_path, monkeypatch, capsys):
+    repo = _three_template_repo(tmp_path)
+    before = repo.read_bytes()
+    out = tmp_path / "out.jsonl"
+
+    def follow():  # a followed log that the user ends with Ctrl-C after 5 lines
+        yield from (line + "\n" for line in _stream_lines(5))
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("sys.stdin", follow())
+    argv = ["parse", str(repo), "-", "--out", str(out), "--append-blackbox"]
+    try:
+        code = main(argv)
+    except KeyboardInterrupt:
+        pytest.fail("the interrupt escaped parse")
+    assert code == EXIT_INTERRUPTED == 130
+    captured = capsys.readouterr()
+    assert captured.err == "interrupted\n"
+    assert captured.out.startswith("5 lines: 4 matched, 1 routed, 0 dropped")
+    assert "appended" not in captured.out and repo.read_bytes() == before
+    records = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+    assert [r["line"] for r in records] == _stream_lines(5)
 
 
 @pytest.mark.parametrize("record", [
