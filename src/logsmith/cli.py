@@ -207,23 +207,28 @@ def _record_line(result: MatchResult) -> str:
             f'"cluster_template": {_quote(result.cluster_template)}}}')
 
 
-def _refuse_out_is_input(out: str, source: str) -> None:
-    """Opening ``--out`` truncates it, so it must not be the regular file
-    being read (a device such as /dev/null may be both)."""
+def _refuse_out_is_input(out: str, repo: str, source: str) -> None:
+    """Opening ``--out`` truncates it, so it must not be a regular file that
+    ``parse`` reads, the repository or the log (a device such as /dev/null
+    may be both)."""
     try:
         out_stat = os.stat(out)
-        in_stat = os.fstat(sys.stdin.fileno()) if source == "-" else os.stat(source)
-    except (AttributeError, OSError, ValueError):  # no --out yet, or no stdin file
+    except OSError:  # no --out yet
         return
-    if stat.S_ISREG(in_stat.st_mode) and os.path.samestat(out_stat, in_stat):
-        raise ValueError(f"--out {out} is the log input {source}")
+    for what, path in (("repository", repo), ("log input", source)):
+        try:
+            in_stat = os.fstat(sys.stdin.fileno()) if path == "-" else os.stat(path)
+        except (AttributeError, OSError, ValueError):  # no stdin file
+            continue
+        if stat.S_ISREG(in_stat.st_mode) and os.path.samestat(out_stat, in_stat):
+            raise ValueError(f"--out {out} is the {what} {path}")
 
 
 def cmd_parse(args: argparse.Namespace) -> int:
     config = _load_config(args)
     compiled = compile_repository(load_repository(args.repo), config.allow_empty_inner)
     if args.out:
-        _refuse_out_is_input(args.out, args.log_input)
+        _refuse_out_is_input(args.out, args.repo, args.log_input)
     lines = _log_lines(args.log_input)
     tree, counts = config.make_tree(), MatchCounts()
     results = match_stream(compiled, lines, counts, tree, config.header_pattern)

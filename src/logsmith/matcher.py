@@ -7,12 +7,13 @@ and holds each inner constant at its leftmost place after the previous one;
 the text between is captured, and no capture may hold a newline. This
 accepts the lines, and yields the captures, of the non-greedy reference
 regex built by ``compile_body`` in ``tests/oracle.py``, in time linear in
-the line. A dispatch index on leading and trailing constants, and a needle
-(the longest inner constant) for templates with wildcards at both edges,
-sends each line only to the templates that can match it. The repository
-keeps a fixed order — most constant characters first, then fewest
-wildcards — and the first template in it that matches wins, so the most
-specific one does. Lines matching nothing are routed to the black-box
+the line. A line is scanned only against templates that can match it: those
+whose leading (or, for a template opening with a wildcard, trailing)
+constant it really has, found through a prefix index on each edge, and
+those with wildcards at both edges whose needle (the longest inner
+constant) it holds, up to the best hit so far. The repository keeps a
+fixed order — most constant characters first, then fewest wildcards — and
+the first template in it that matches wins, so the most specific one does. Lines matching nothing are routed to the black-box
 cluster tree. ``match_stream`` yields each line's result as the line
 arrives and keeps running counts, so memory holds no part of the stream.
 """
@@ -38,9 +39,7 @@ class DuplicateTemplate(Exception):
 @dataclass(frozen=True, slots=True)
 class CompiledEntry:
     """A template and its scan plan: ``gaps`` holds one minimum length per
-    wildcard, ``inner`` the constants between consecutive wildcards, and
-    ``needle`` the longest of them ("" if none), which every line the
-    template matches contains."""
+    wildcard and ``inner`` the constants between consecutive wildcards."""
 
     template_id: int
     template: Template
@@ -49,7 +48,6 @@ class CompiledEntry:
     suffix: str
     gaps: tuple[int, ...]
     inner: tuple[str, ...]
-    needle: str
 
     def scan(self, message: str) -> tuple[str, ...] | None:
         """The wildcard captures if ``message`` matches, else None."""
@@ -81,11 +79,15 @@ class ConstantIndex:
     ``keys`` is sorted. Every key that begins a text is a prefix of the
     greatest key not above the text, so ``groups[i]`` holds, in
     ``template_id`` order, the entries of ``keys[i]`` and of each key that
-    is a prefix of it; one bisection finds every candidate.
+    is a prefix of it, and ``parents[i]`` is the index of the longest key
+    that is a proper prefix of ``keys[i]`` (-1 if none). One bisection, then
+    a walk up the parents to the first key the text starts with, finds
+    exactly the entries whose key begins the text.
     """
 
     keys: tuple[str, ...] = ()
     groups: tuple[tuple[CompiledEntry, ...], ...] = ()
+    parents: tuple[int, ...] = ()
 
     @classmethod
     def build(cls, entries: Iterable[CompiledEntry],
@@ -94,19 +96,23 @@ class ConstantIndex:
         for entry in entries:
             by_key.setdefault(key(entry), []).append(entry)
         keys = sorted(by_key)
-        chain: list[str] = []
-        groups = []
-        for constant in keys:
-            while chain and not constant.startswith(chain[-1]):
+        chain: list[int] = []
+        groups, parents = [], []
+        for position, constant in enumerate(keys):
+            while chain and not constant.startswith(keys[chain[-1]]):
                 chain.pop()
-            chain.append(constant)
-            groups.append(tuple(sorted((e for k in chain for e in by_key[k]),
+            parents.append(chain[-1] if chain else -1)
+            chain.append(position)
+            groups.append(tuple(sorted((e for k in chain for e in by_key[keys[k]]),
                                        key=lambda e: e.template_id)))
-        return cls(tuple(keys), tuple(groups))
+        return cls(tuple(keys), tuple(groups), tuple(parents))
 
     def candidates(self, text: str) -> tuple[CompiledEntry, ...]:
-        position = bisect_right(self.keys, text)
-        return self.groups[position - 1] if position else ()
+        keys, parents = self.keys, self.parents
+        position = bisect_right(keys, text) - 1
+        while position >= 0 and not text.startswith(keys[position]):
+            position = parents[position]
+        return self.groups[position] if position >= 0 else ()
 
 
 @dataclass(frozen=True)
@@ -116,8 +122,9 @@ class CompiledRepository:
     ``leading`` indexes templates by their leading constant, ``trailing``
     those that start with a wildcard by their reversed trailing constant;
     ``floating`` holds the templates with wildcards at both edges, in
-    ``template_id`` order; a message is scanned against one of them only
-    if it holds the entry's ``needle``.
+    ``template_id`` order, ``floating_ids`` their ids and ``needles`` their
+    longest inner constants ("" if none). Every line such a template
+    matches holds its needle, so a line is scanned against it only then.
     """
 
     entries: tuple[CompiledEntry, ...]
@@ -125,6 +132,8 @@ class CompiledRepository:
     leading: ConstantIndex = ConstantIndex()
     trailing: ConstantIndex = ConstantIndex()
     floating: tuple[CompiledEntry, ...] = ()
+    floating_ids: tuple[int, ...] = ()
+    needles: tuple[str, ...] = ()
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -146,7 +155,7 @@ def _entry(template_id: int, template: Template,
     return CompiledEntry(template_id=template_id, template=template,
                          text=template.body.render(),
                          prefix=prefix, suffix=suffix, gaps=tuple(gaps),
-                         inner=inner, needle=max(inner, key=len, default=""))
+                         inner=inner)
 
 
 def compile_repository(templates: list[Template],
@@ -170,6 +179,7 @@ def compile_repository(templates: list[Template],
     )
     entries = tuple(_entry(position, template, allow_empty_inner)
                     for position, (_, template) in enumerate(ordered))
+    floating = tuple(e for e in entries if not e.prefix and not e.suffix)
     return CompiledRepository(
         entries=entries, allow_empty_inner=allow_empty_inner,
         leading=ConstantIndex.build(
@@ -177,10 +187,12 @@ def compile_repository(templates: list[Template],
         trailing=ConstantIndex.build(
             (e for e in entries if not e.prefix and e.suffix),
             lambda e: e.suffix[::-1]),
-        floating=tuple(e for e in entries if not e.prefix and not e.suffix))
+        floating=floating,
+        floating_ids=tuple(e.template_id for e in floating),
+        needles=tuple(max(e.inner, key=len, default="") for e in floating))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class MatchResult:
     log_line: str
     matched: bool
@@ -198,7 +210,8 @@ def match_line(repo: CompiledRepository, line: str,
     The line's surrounding whitespace is ignored. An all-whitespace line
     can still match an edge-wildcard template; otherwise it raises
     EmptyMessage when a tree is present. Each index group is scanned in
-    ``template_id`` order up to its first hit, and the lowest id wins.
+    ``template_id`` order up to its first hit, then the floating templates
+    below the best hit whose needle the line holds, and the lowest id wins.
     """
     message = line.strip()
     best: CompiledEntry | None = None
@@ -212,28 +225,21 @@ def match_line(repo: CompiledRepository, line: str,
             if hit is not None:
                 best, captures = entry, hit
                 break
-    bound = best.template_id if best is not None else len(repo.entries)
-    for entry in repo.floating:
-        if entry.template_id > bound:
-            break
-        if entry.needle in message:
+    needles = repo.needles
+    if best is not None:
+        needles = needles[:bisect_right(repo.floating_ids, best.template_id)]
+    for needle, entry in zip(needles, repo.floating):
+        if needle in message:
             hit = entry.scan(message)
             if hit is not None:
                 best, captures = entry, hit
                 break
     if best is not None:
-        return MatchResult(
-            log_line=line,
-            matched=True,
-            template_id=best.template_id,
-            template=best.text,
-            captures=captures,
-        )
+        return MatchResult(line, True, best.template_id, best.text, captures)
     if tree is None:
-        return MatchResult(log_line=line, matched=False)
+        return MatchResult(line, False)
     cluster_id, cluster_template = tree.ingest(message)
-    return MatchResult(log_line=line, matched=False, cluster_id=cluster_id,
-                       cluster_template=cluster_template)
+    return MatchResult(line, False, None, None, (), cluster_id, cluster_template)
 
 
 @dataclass

@@ -389,9 +389,10 @@ def test_record_line_is_the_reference_json(result):
     assert _record_line(result) == json.dumps(result_record(result), ensure_ascii=False)
 
 
-@pytest.mark.parametrize("source", ["hard-link", "stdin"])
+@pytest.mark.parametrize("source", ["hard-link", "stdin", "repository"])
 def test_parse_refuses_out_that_is_the_log(tmp_path, monkeypatch, capsys, source):
     repo = _three_template_repo(tmp_path)
+    repo_data = repo.read_bytes()
     log = tmp_path / "app.log"
     data = "".join(line + "\n" for line in _stream_lines(8)).encode()
     log.write_bytes(data)
@@ -399,6 +400,9 @@ def test_parse_refuses_out_that_is_the_log(tmp_path, monkeypatch, capsys, source
         stdin = open(log, encoding="utf-8")
         monkeypatch.setattr("sys.stdin", stdin)
         argv = ["parse", str(repo), "-", "--out", str(log)]
+    elif source == "repository":
+        os.link(repo, tmp_path / "alias.jsonl")
+        argv = ["parse", str(repo), str(log), "--out", str(tmp_path / "alias.jsonl")]
     else:
         os.link(log, tmp_path / "alias.log")
         argv = ["parse", str(repo), str(log), "--out", str(tmp_path / "alias.log")]
@@ -409,7 +413,7 @@ def test_parse_refuses_out_that_is_the_log(tmp_path, monkeypatch, capsys, source
             stdin.close()
     captured = capsys.readouterr()
     assert captured.err.startswith("error: --out ") and captured.out == ""
-    assert log.read_bytes() == data
+    assert log.read_bytes() == data and repo.read_bytes() == repo_data
     # a device is not truncated by opening it, so it may be both
     assert main(["parse", str(repo), os.devnull, "--out", os.devnull]) == EXIT_OK
 

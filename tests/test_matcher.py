@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from logsmith.blackbox import ClusterTree
 from logsmith.matcher import (
+    CompiledEntry,
     DuplicateTemplate,
     MatchCounts,
     compile_repository,
@@ -278,6 +279,52 @@ def test_scan_corner_cases_agree_with_regex_reference(texts, message,
     result = match_line(repo, message)
     got = (result.template_id, result.captures) if result.matched else None
     assert got == _reference(repo, message)
+
+
+# Two letters, so keys share prefixes and often nearly begin a text.
+_EDGE = st.text(alphabet="ab", max_size=3)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(_EDGE, _EDGE), max_size=10),
+       st.lists(st.text(alphabet="ab", max_size=5), max_size=6))
+def test_index_candidates_are_the_entries_whose_key_begins_the_text(edges, texts):
+    bodies = dict.fromkeys(TemplateBody.from_segments([prefix, WILD, suffix])
+                           for prefix, suffix in edges)
+    repo = compile_repository([Template(body=b) for b in bodies])
+    for text in texts:
+        leading = [e for e in repo.entries if e.prefix and text.startswith(e.prefix)]
+        trailing = [e for e in repo.entries
+                    if not e.prefix and e.suffix and text.endswith(e.suffix)]
+        assert list(repo.leading.candidates(text)) == leading, (text, bodies)
+        assert list(repo.trailing.candidates(text[::-1])) == trailing, (text, bodies)
+
+
+def test_match_line_scans_only_templates_that_can_match(monkeypatch):
+    repo = _repo("bind_x<.*>", "bind<.*>!", "bind<.*>:<.*>", "<.*>_a:<.*>", "bz<.*>")
+    assert [e.text for e in repo.entries] == [
+        "bind_x<.*>", "bind<.*>!", "bind<.*>:<.*>", "<.*>_a:<.*>", "bz<.*>"]
+    scanned = []
+    scan = CompiledEntry.scan
+
+    def counting_scan(entry, message):
+        scanned.append(entry.text)
+        return scan(entry, message)
+
+    monkeypatch.setattr(CompiledEntry, "scan", counting_scan)
+    # near misses of "bind_x" (before and after it in key order) and of
+    # both bind templates: routed
+    for line in ("bind_a 1", "bind_y 1"):
+        assert not match_line(repo, line).matched
+        assert scanned == ["bind<.*>!", "bind<.*>:<.*>"]
+        scanned.clear()
+    # after "bz" in key order, but no key begins it
+    assert not match_line(repo, "c 1").matched
+    assert scanned == []
+    # the floating template holds its needle but comes after the hit
+    result = match_line(repo, "bind_a:1!")
+    assert result.template == "bind<.*>!" and result.captures == ("_a:1",)
+    assert scanned == ["bind<.*>!"]
 
 
 def test_pathological_line_misses_in_bounded_time():
