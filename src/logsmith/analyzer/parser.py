@@ -6,12 +6,19 @@ string literals, identifiers, ``+`` concatenation and method calls.
 Line and block comments are skipped. Anything outside the subset, and
 nesting deeper than ``MAX_NESTING``, raises :class:`SourceSyntaxError` with
 the offending line.
+
+Each token is a plain ``(kind, value, line)`` tuple. ``kind`` is "ident",
+"string", "eof", or the keyword or punctuation mark itself; ``value`` is the
+text, with a string literal's escapes resolved. The lexer makes one regex
+match per lexeme and walks the matches with ``finditer``, so it stops at the
+first text that starts no token. ``findall`` would scan the whole text first,
+and on hostile input such as many unterminated ``/*`` openers that scan is
+quadratic, since every opener scans on to the end.
 """
 
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
 
 from .syntax import (
     Call,
@@ -51,24 +58,21 @@ _STRING_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "b": "\b", "f": "\f",
 # recursion limit when paths are traced through all of them.
 MAX_NESTING = 64
 
+_PUNCT = "{}();,.+"
 _STRING_BODY = r'[^"\\\n]*(?:\\[^\n][^"\\\n]*)*'
-# "\w" is exactly str.isalnum() or "_"; the first character of a word is
-# checked against str.isalpha() separately, as no regex class matches it.
+# One match per lexeme, with the blanks before it as a prefix: a newline, a
+# comment, a string literal, a word, a punctuation mark, or any other single
+# character, which _tokenize rejects unless it is a blank the prefix gave back
+# at the end of the text. "\w" is exactly str.isalnum() or "_"; the first
+# character of a word is checked against str.isalpha() separately, as no
+# regex class matches it.
 _LEXEME = re.compile(
-    r'(?P<skip>[ \t\r\n]+|//[^\n]*|/\*.*?\*/)'
-    rf'|"(?P<string>{_STRING_BODY})"'
-    r'|(?P<word>\w+)'
-    r'|(?P<punct>[{}();,.+])'
-    r'|(?P<bad>.)',
+    r'[ \t\r]*(\n|//[^\n]*|/\*.*?\*/'
+    rf'|"{_STRING_BODY}"'
+    rf'|\w+|[{re.escape(_PUNCT)}]|.)',
     re.DOTALL)
 _STRING_PREFIX = re.compile(_STRING_BODY)
 _ESCAPE = re.compile(r"\\(.)")
-
-
-class _Token(NamedTuple):
-    kind: str  # "ident", "string", "eof", or the keyword or punctuation itself
-    value: str
-    line: int
 
 
 def _unescape(match: re.Match) -> str:
@@ -89,55 +93,53 @@ def _lex_error(text: str, pos: int, line: int) -> SourceSyntaxError:
     return SourceSyntaxError(line, f"unexpected character {text[pos]!r}")
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    tokens = []
+    append = tokens.append
     line = 1
     for match in _LEXEME.finditer(text):
-        kind = match.lastgroup
-        value = match[kind]
-        if kind == "skip":
-            line += value.count("\n")
-        elif kind == "word" and (value[0].isalpha() or value[0] == "_"):
-            tokens.append(_Token(value if value in _KEYWORDS else "ident", value, line))
-        elif kind == "punct":
-            tokens.append(_Token(value, value, line))
-        elif kind == "string":
+        lexeme = match[1]
+        first = lexeme[0]
+        if first == "\n":
+            line += 1
+        elif first in _PUNCT:
+            append((lexeme, lexeme, line))
+        elif first.isalpha() or first == "_":
+            append((lexeme if lexeme in _KEYWORDS else "ident", lexeme, line))
+        elif first == '"' and len(lexeme) > 1:
+            value = lexeme[1:-1]
             if "\\" in value:
                 value = _ESCAPE.sub(_unescape, value)
-            tokens.append(_Token("string", value, line))
-        else:
-            raise _lex_error(text, match.start(), line)
-    tokens.append(_Token("eof", "", line))
+            append(("string", value, line))
+        elif first == "/" and len(lexeme) > 1:
+            line += lexeme.count("\n")
+        elif first not in " \t\r":
+            raise _lex_error(text, match.start(1), line)
+    append(("eof", "", line))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], path: str):
+    def __init__(self, tokens: list[tuple[str, str, int]], path: str):
         self.tokens = tokens
         self.pos = 0
         self.path = path
         self.depth = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
-
     def error(self, message: str) -> SourceSyntaxError:
-        return SourceSyntaxError(self.peek().line, message)
+        return SourceSyntaxError(self.tokens[self.pos][2], message)
 
     def at(self, kind: str) -> bool:
-        return self.tokens[self.pos].kind == kind
+        return self.tokens[self.pos][0] == kind
 
-    def expect(self, kind: str, what: str | None = None) -> _Token:
-        if not self.at(kind):
-            found = self.peek().value
-            raise self.error(f"expected {what or repr(kind)}, found {found!r}")
-        return self.advance()
+    def expect(self, kind: str, what: str | None = None) -> tuple[str, str, int]:
+        """The current token, which must be of ``kind`` (never "eof"); moves past it."""
+        token = self.tokens[self.pos]
+        if token[0] != kind:
+            raise SourceSyntaxError(
+                token[2], f"expected {what or repr(kind)}, found {token[1]!r}")
+        self.pos += 1
+        return token
 
     def nest(self):
         """Enter one more nesting level; the caller restores ``depth`` on leaving."""
@@ -154,13 +156,13 @@ class _Parser:
 
         imports = []
         while self.at("import"):
-            self.advance()
+            self.pos += 1
             imports.append(self.parse_dotted())
             self.expect(";")
 
         self.parse_modifiers()
         self.expect("class")
-        class_name = self.expect("ident", "class name").value
+        class_name = self.expect("ident", "class name")[1]
         self.expect("{")
         methods = []
         while not self.at("}"):
@@ -177,34 +179,35 @@ class _Parser:
         )
 
     def parse_dotted(self) -> str:
-        parts = [self.expect("ident", "name").value]
+        parts = [self.expect("ident", "name")[1]]
         while self.at("."):
-            self.advance()
-            parts.append(self.expect("ident", "name").value)
+            self.pos += 1
+            parts.append(self.expect("ident", "name")[1])
         return ".".join(parts)
 
     def parse_modifiers(self) -> tuple[str, ...]:
         mods = []
-        while self.peek().kind in _MODIFIERS:
-            mods.append(self.advance().value)
+        while self.tokens[self.pos][0] in _MODIFIERS:
+            mods.append(self.tokens[self.pos][1])
+            self.pos += 1
         return tuple(mods)
 
     def parse_method(self) -> MethodDecl:
-        start = self.peek().line
+        start = self.tokens[self.pos][2]
         mods = self.parse_modifiers()
         return_type = self.parse_type()
-        name = self.expect("ident", "method name").value
+        name = self.expect("ident", "method name")[1]
         self.expect("(")
         params = []
         if not self.at(")"):
             while True:
                 ptype = self.parse_type()
-                pname = self.expect("ident", "parameter name").value
+                pname = self.expect("ident", "parameter name")[1]
                 if any(existing == pname for existing, _ in params):
                     raise self.error(f"duplicate parameter name {pname!r}")
                 params.append((pname, ptype))
                 if self.at(","):
-                    self.advance()
+                    self.pos += 1
                     continue
                 break
         self.expect(")")
@@ -221,7 +224,7 @@ class _Parser:
 
     def parse_type(self) -> str:
         # "void" lexes as an identifier; any single identifier is a type name
-        return self.expect("ident", "type name").value
+        return self.expect("ident", "type name")[1]
 
     def parse_block(self) -> tuple:
         self.expect("{")
@@ -232,34 +235,34 @@ class _Parser:
         return tuple(stmts)
 
     def parse_stmt(self):
-        tok = self.peek()
-        if tok.kind == "if":
+        kind, value, line = self.tokens[self.pos]
+        if kind == "if":
             return self.parse_if()
-        if tok.kind == "return":
-            self.advance()
-            if self.at(";"):
-                self.advance()
-                return Return(None, line=tok.line)
-            value = self.parse_expr()
+        if kind == "return":
+            self.pos += 1
+            if self.tokens[self.pos][0] == ";":
+                self.pos += 1
+                return Return(None, line=line)
+            result = self.parse_expr()
             self.expect(";")
-            return Return(value, line=tok.line)
-        if tok.kind in _KEYWORDS:
-            raise self.error(f"unsupported statement {tok.value!r}")
+            return Return(result, line=line)
+        if kind in _KEYWORDS:
+            raise self.error(f"unsupported statement {value!r}")
         expr = self.parse_expr()
         self.expect(";")
-        return ExprStmt(expr, line=tok.line)
+        return ExprStmt(expr, line=line)
 
     def parse_if(self) -> If:
         outer = self.depth
         self.nest()
-        start = self.expect("if").line
+        start = self.expect("if")[2]
         self.expect("(")
         cond = self.parse_expr()
         self.expect(")")
         then_body = self.parse_branch_body()
         else_body: tuple = ()
         if self.at("else"):
-            self.advance()
+            self.pos += 1
             if self.at("if"):
                 else_body = (self.parse_if(),)
             else:
@@ -276,45 +279,46 @@ class _Parser:
         outer = self.depth
         self.nest()
         expr = self.parse_postfix()
-        while self.at("+"):
-            plus = self.advance()
+        tokens = self.tokens
+        while tokens[self.pos][0] == "+":
+            line = tokens[self.pos][2]
+            self.pos += 1
             self.nest()
-            right = self.parse_postfix()
-            expr = Concat(expr, right, line=plus.line)
+            expr = Concat(expr, self.parse_postfix(), line=line)
         self.depth = outer
         return expr
 
     def parse_postfix(self):
         outer = self.depth
         expr = self.parse_primary()
-        while self.at("."):
-            self.advance()
+        tokens = self.tokens
+        while tokens[self.pos][0] == ".":
+            self.pos += 1
             self.nest()
-            name = self.expect("ident", "method name")
+            _, name, line = self.expect("ident", "method name")
             self.expect("(")
-            args = self.parse_args()
-            expr = Call(expr, name.value, args, line=name.line)
+            expr = Call(expr, name, self.parse_args(), line=line)
         self.depth = outer
         return expr
 
     def parse_primary(self):
-        tok = self.peek()
-        if tok.kind == "string":
-            self.advance()
-            return StrLit(tok.value, line=tok.line)
-        if tok.kind == "ident":
-            self.advance()
-            if self.at("("):
-                self.advance()
-                args = self.parse_args()
-                return Call(None, tok.value, args, line=tok.line)
-            return Ident(tok.value, line=tok.line)
-        if tok.kind == "(":
-            self.advance()
+        tokens = self.tokens
+        kind, value, line = tokens[self.pos]
+        if kind == "string":
+            self.pos += 1
+            return StrLit(value, line=line)
+        if kind == "ident":
+            self.pos += 1
+            if tokens[self.pos][0] == "(":
+                self.pos += 1
+                return Call(None, value, self.parse_args(), line=line)
+            return Ident(value, line=line)
+        if kind == "(":
+            self.pos += 1
             expr = self.parse_expr()
             self.expect(")")
             return expr
-        raise self.error(f"expected expression, found {tok.value!r}")
+        raise self.error(f"expected expression, found {value!r}")
 
     def parse_args(self) -> tuple:
         # caller consumed "("
@@ -323,7 +327,7 @@ class _Parser:
             while True:
                 args.append(self.parse_expr())
                 if self.at(","):
-                    self.advance()
+                    self.pos += 1
                     continue
                 break
         self.expect(")")

@@ -16,6 +16,7 @@ import requests
 from ..analyzer import (
     DEFAULT_BUILTIN_METHODS,
     PathBudget,
+    SourceSyntaxError,
     analyze_project,
     parse_source,
 )
@@ -144,8 +145,14 @@ class MockGateway:
 
     def _extract(self, prompt: str) -> str:
         chunks = _split_units(self._java_code(prompt))
-        units = [parse_source(chunk, path=f"<prompt:{index}>")
-                 for index, chunk in enumerate(chunks)]
+        try:
+            units = [parse_source(chunk, path=f"<prompt:{index}>")
+                     for index, chunk in enumerate(chunks)]
+        except SourceSyntaxError as exc:
+            # the split also cuts at a "package " line inside a comment, and
+            # before a file's package line; a piece that does not parse fails
+            # the unit like any other gateway call
+            raise GatewayUnavailable(f"mock could not parse the prompt's code: {exc}") from exc
         analyses = analyze_project(units, self.budget, self.builtin_methods)
         return render_records([
             ExtractedTemplate(method=e.site.method_fqn, template=path.yielded.render(),

@@ -117,6 +117,21 @@ def test_extract_partial_parse_is_ok(tmp_path, capsys):
     assert len(load_repository(out)) == 4
 
 
+def test_package_line_in_a_comment_fails_only_that_unit(tmp_path, capsys):
+    # the mock gateway splits its prompt at every line that starts "package ",
+    # so this valid file reaches it as two chunks, and "/*" alone does not parse
+    mixed = tmp_path / "project"
+    shutil.copytree(EXAMPLE_PROJECT, mixed)
+    (mixed / "Old.java").write_text(
+        "/*\npackage old.name;\n*/\npackage com.x;\n\npublic class Old {\n"
+        '  public void run(String id) {\n    log.info("moved " + id);\n  }\n}\n',
+        encoding="utf-8")
+    out = tmp_path / "repo.jsonl"
+    assert main(["extract", str(mixed), "--out", str(out)]) == EXIT_OK
+    assert f"warning: gateway failed for {mixed / 'Old.java'}: " in capsys.readouterr().err
+    assert {t.body.render() for t in load_repository(out)} == set(EXPECTED_TEMPLATES)
+
+
 _ELSE_IF_CHAIN = "".join(f'if (a.isEmpty()) {{ log.info("b{i}"); }} else '
                          for i in range(1_000)) + "{ }"
 _DEEPLY_NESTED = {
@@ -370,6 +385,26 @@ def test_parse_out_matches_golden_bytes(tmp_path, capsys):
     assert main(argv) == EXIT_OK
     assert "15 lines: 8 matched, 5 routed, 2 dropped" in capsys.readouterr().out
     assert out.read_bytes() == (golden / "expected.jsonl").read_bytes()
+
+
+def test_extract_matches_golden_bytes(tmp_path, monkeypatch, capsys):
+    # the example project, two generated projects with their classes renamed
+    # apart (reports are keyed by class name), and one file with CRLF line
+    # ends, tabs, comments, escapes and trailing blanks; the expected files
+    # were written before the lexer made one match per token
+    golden = FIXTURES / "extract_golden"
+    shutil.copytree(golden / "project", tmp_path / "project")
+    shutil.copytree(EXAMPLE_PROJECT, tmp_path / "project" / "example")
+    monkeypatch.chdir(tmp_path)
+    assert main(["extract", "project", "--out", "repo.jsonl",
+                 "--report-dir", "reports"]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.rsplit(" (", 1)[0] + "\n" == (golden / "expected" / "stdout.txt").read_text()
+    assert Path("repo.jsonl").read_bytes() == (golden / "expected" / "repo.jsonl").read_bytes()
+    expected = {path.name: path.read_bytes()
+                for path in (golden / "expected" / "reports").iterdir()}
+    assert {path.name: path.read_bytes() for path in Path("reports").iterdir()} == expected
 
 
 _RECORD_TEXT = st.text(st.one_of(

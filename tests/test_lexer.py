@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logsmith.analyzer import SourceSyntaxError
+from logsmith.analyzer import SourceSyntaxError, parse_source
 from logsmith.analyzer.parser import _KEYWORDS, _tokenize
 
 from reference_lexer import _tokenize as reference_tokenize
@@ -16,9 +18,9 @@ from reference_lexer import _tokenize as reference_tokenize
 _PIECES = [
     "a", "Z", "_", "x1", "é", "²", "٣", "一", "0",
     "if", "else", "class", "return", "public",
-    " ", "\t", "\r", "\n", "\x0c", "\xa0", "#", "-", "/", "*",
+    " ", "\t", "\r", "\n", "\r\n", "\x0c", "\xa0", "#", "-", "/", "*",
     "{", "}", "(", ")", ";", ",", ".", "+",
-    '"', '"ab"', '"a\\tb"', '"/* x */"', "\\", "\\n", '\\"', "\\\\", "\\q", "\\\r",
+    '"', '""', '"ab"', '"a\\tb"', '"/* x */"', "\\", "\\n", '\\"', "\\\\", "\\q", "\\\r",
     "//", "// c\n", "/*", "*/", "/* c\n */",
 ]
 
@@ -33,7 +35,7 @@ def _reference_kind(kind: str) -> str:
 
 def _lex(text: str) -> list[tuple] | str:
     try:
-        return [(_reference_kind(tok.kind), tok.value, tok.line) for tok in _tokenize(text)]
+        return [(_reference_kind(kind), value, line) for kind, value, line in _tokenize(text)]
     except SourceSyntaxError as error:
         return str(error)
 
@@ -60,3 +62,44 @@ def test_regex_lexer_agrees_with_reference(text):
 def test_backslash_newline_in_string_is_rejected_at_its_line(text):
     assert _lex(text) == "line 2: newline in string literal"
     assert _reference_lex(text) != _lex(text)
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("a \t ", [("ident", "a", 1), ("eof", "", 1)]),
+    ("\r", [("eof", "", 1)]),
+    ("a\rb", [("ident", "a", 1), ("ident", "b", 1), ("eof", "", 1)]),
+    ("a // c", [("ident", "a", 1), ("eof", "", 1)]),
+    ("/* a\n b\n */ x", [("ident", "x", 3), ("eof", "", 3)]),
+    ("/*\n\n*/ #", "line 3: unexpected character '#'"),
+])
+def test_edge_cases_agree_with_reference(text, expected):
+    assert _lex(text) == expected
+    assert _reference_lex(text) == expected
+
+
+def _cpu_seconds(call) -> float:
+    """The least CPU time of three calls, so a busy machine inflates it less."""
+    times = []
+    for _ in range(3):
+        started = time.process_time()
+        call()
+        times.append(time.process_time() - started)
+    return min(times)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("/* " * 100_000, "line 1: unterminated block comment"),
+    ('"' + "a" * 10**6, "line 1: unterminated string literal"),
+], ids=["block-comment-openers", "unterminated-string"])
+def test_lexer_stops_at_first_bad_lexeme(text, message):
+    # Both texts are rejected in time linear in their length. A lexer that
+    # scans the whole text before raising (re.findall) re-scans the rest of
+    # the first text from every "/*", which takes minutes. The failed match of
+    # the string body backtracks once over the second text, which is linear
+    # but takes tens of milliseconds.
+    def reject():
+        with pytest.raises(SourceSyntaxError) as caught:
+            parse_source(text)
+        assert str(caught.value) == message
+
+    assert _cpu_seconds(reject) < 0.25
