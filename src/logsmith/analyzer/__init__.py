@@ -7,7 +7,7 @@ static-analysis report.
 
 from .callgraph import CallGraph, ResolvedTarget, build_call_graph
 from .logcalls import LOGGER_NAMES, LogCallSite, find_log_calls, is_logger_call
-from .parser import SourceSyntaxError, parse_source
+from .parser import SourceSyntaxError, parse_source, parse_sources
 from .paths import (
     DEFAULT_BUILTIN_METHODS,
     KIND_BUILTIN,
@@ -84,5 +84,6 @@ __all__ = [
     "is_logger_call",
     "method_to_source",
     "parse_source",
+    "parse_sources",
     "render_report",
 ]

@@ -168,8 +168,6 @@ class _Parser:
         while not self.at("}"):
             methods.append(self.parse_method())
         self.expect("}")
-        if not self.at("eof"):
-            raise self.error("trailing content after class body")
         return SourceUnit(
             path=self.path,
             package=package,
@@ -335,9 +333,20 @@ class _Parser:
 
 
 def parse_source(text: str, path: str = "<memory>") -> SourceUnit:
-    """Parse subset source text into a :class:`SourceUnit`.
+    """Parse one unit's source text; :class:`SourceSyntaxError` when it falls
+    outside the subset grammar."""
+    parser = _Parser(_tokenize(text), path)
+    unit = parser.parse_unit()
+    if not parser.at("eof"):
+        raise parser.error("trailing content after class body")
+    return unit
 
-    Raises:
-        SourceSyntaxError: when the text falls outside the subset grammar.
-    """
-    return _Parser(_tokenize(text), path).parse_unit()
+
+def parse_sources(text: str, path: str = "<memory>") -> list[SourceUnit]:
+    """Parse one or more units written one after another, such as source files
+    joined end to end; :class:`SourceSyntaxError` also for no unit at all."""
+    parser = _Parser(_tokenize(text), path)
+    units = [parser.parse_unit()]
+    while not parser.at("eof"):
+        units.append(parser.parse_unit())
+    return units

@@ -32,6 +32,7 @@ from .evaluation import (
     canonical,
     load_ground_truth,
     score,
+    template_lines,
     time_online,
 )
 from .matcher import (
@@ -109,16 +110,16 @@ def _discover(project_dir: str) -> list[Path]:
     return sorted(root.rglob("*.java"))
 
 
-def _parse_files(paths: list[Path]) -> tuple[list[ProjectFile], list[str]]:
+def _parse_files(paths: list[Path]) -> list[ProjectFile]:
+    """The files that parse; each one that does not is skipped with a warning."""
     files: list[ProjectFile] = []
-    failures: list[str] = []
     for path in paths:
         try:
             text = path.read_text(encoding="utf-8")
             files.append(ProjectFile(unit=parse_source(text, str(path)), text=text))
         except (OSError, UnicodeDecodeError, SourceSyntaxError) as exc:
-            failures.append(f"{path}: {exc}")
-    return files, failures
+            print(f"warning: skipped {path}: {exc}", file=sys.stderr)
+    return files
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
@@ -131,9 +132,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
         save_repository([], args.out)
         print(f"0 files, 0 log calls, 0 paths, 0 templates -> {args.out}")
         return EXIT_OK
-    files, failures = _parse_files(paths)
-    for failure in failures:
-        print(f"warning: skipped {failure}", file=sys.stderr)
+    files = _parse_files(paths)
     if not files:
         print("error: no source file parsed", file=sys.stderr)
         return EXIT_PARTIAL
@@ -255,19 +254,11 @@ def cmd_parse(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_template_lines(path: str) -> list[TemplateBody]:
-    if path.endswith(".jsonl"):
-        return [template.body for template in load_repository(path)]
-    bodies = []
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
-        if raw.strip():
-            bodies.append(TemplateBody.parse(raw))
-    return bodies
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    parsed = _load_template_lines(args.parsed)
+    parsed = ([template.body for template in load_repository(args.parsed)]
+              if args.parsed.endswith(".jsonl")
+              else [TemplateBody.parse(line) for _, line in template_lines(args.parsed)])
     truth = load_ground_truth(args.truth)
     report = score(parsed, truth)
 
@@ -303,9 +294,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     config = _load_config(args)
     paths = _discover(args.project_dir)
-    files, failures = _parse_files(paths)
-    for failure in failures:
-        print(f"warning: skipped {failure}", file=sys.stderr)
+    files = _parse_files(paths)
     if paths and not files:
         print("error: no source file parsed", file=sys.stderr)
         return EXIT_PARTIAL

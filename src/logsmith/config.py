@@ -64,6 +64,18 @@ SECTIONS = {
 }
 
 
+# A float in these would pass the range checks and fail in the stage using it.
+_INTEGER_KEYS = {"max_retries", "min_const_chars", "depth", "max_children",
+                 "max_call_depth", "max_paths_per_site", "workers"}
+
+
+def _integers_checked(mapping: dict, prefix: str) -> dict:
+    for key in _INTEGER_KEYS & mapping.keys():
+        if type(mapping[key]) is not int:  # bool is an int subclass
+            raise ConfigError(f"{prefix}{key} must be an integer, not {mapping[key]!r}")
+    return mapping
+
+
 def _section(data: dict, name: str, allowed: set[str]) -> dict:
     section = data.get(name) or {}
     if not isinstance(section, dict):
@@ -71,7 +83,7 @@ def _section(data: dict, name: str, allowed: set[str]) -> dict:
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in {name!r}: {', '.join(sorted(unknown))}")
-    return section
+    return _integers_checked(section, f"{name}.")
 
 
 def read_config(path: str | Path) -> dict:
@@ -97,6 +109,7 @@ def build_config(data) -> Config:
     if unknown:
         raise ConfigError(f"unknown top-level keys: {', '.join(sorted(unknown))}")
     sections = {name: _section(data, name, keys) for name, keys in SECTIONS.items()}
+    _integers_checked(data, "")
 
     fields = {f"tree_{key}": value for key, value in sections["tree"].items()}
     fields.update(sections["matching"])

@@ -13,6 +13,7 @@ import time
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 from .blackbox import ClusterTree
 from .matcher import CompiledRepository, run_stream
@@ -61,24 +62,26 @@ def templates_equal(a: TemplateBody, b: TemplateBody) -> bool:
 
 
 def load_ground_truth(path: str | Path) -> GroundTruth:
-    """Read line-oriented ground-truth templates; blank lines are skipped.
-
-    Each line must already be a normalized template (its parse renders
-    back to the identical string); anything else raises GroundTruthError
-    naming the line number.
-    """
+    """The templates of :func:`template_lines`; each must already be normalized
+    (its parse renders back to the identical string), else GroundTruthError
+    names its line."""
     bodies = []
+    for number, line in template_lines(path):
+        body = TemplateBody.parse(line)
+        if body.render() != line:
+            raise GroundTruthError(f"line {number}: not a normalized template: {line!r}")
+        bodies.append(body)
+    return GroundTruth(templates=tuple(bodies))
+
+
+def template_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """The numbered non-blank lines of a file, which end only at "\n" (after
+    ``open``'s newline translation), not at "\x0c" or U+2028."""
     with open(path, "r", encoding="utf-8") as handle:
         for number, raw in enumerate(handle, 1):
             line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            body = TemplateBody.parse(line)
-            if body.render() != line:
-                raise GroundTruthError(
-                    f"line {number}: not a normalized template: {line!r}")
-            bodies.append(body)
-    return GroundTruth(templates=tuple(bodies))
+            if line.strip():
+                yield number, line
 
 
 def score(parsed: list[TemplateBody], truth: GroundTruth) -> EvalReport:

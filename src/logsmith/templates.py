@@ -165,20 +165,24 @@ def save_repository(templates: Iterable[Template], path: str | Path) -> None:
 
 
 def append_repository(templates: Iterable[Template], path: str | Path) -> int:
-    """Append templates to a repository file, skipping bodies already present.
+    """Append templates to a repository file, skipping bodies already present;
+    the first starts a new line if the file's last line has no newline.
 
     Returns the number of templates actually appended.
     """
     path = Path(path)
-    existing = set()
+    existing, separator = set(), ""
     if path.exists():
         existing = {t.body for t in load_repository(path)}
+        separator = "" if path.read_bytes()[-1:] in (b"", b"\n") else "\n"
     appended = 0
     with open(path, "a", encoding="utf-8") as handle:
         for template in templates:
             if template.body in existing:
                 continue
-            handle.write(json.dumps(template.to_record(), ensure_ascii=False) + "\n")
+            record = json.dumps(template.to_record(), ensure_ascii=False)
+            handle.write(f"{separator}{record}\n")
+            separator = ""
             existing.add(template.body)
             appended += 1
     return appended

@@ -86,18 +86,12 @@ def extract_unit(entry: ProjectFile, project: dict[str, ProjectFile],
 def _java_code(entry: ProjectFile, project: dict[str, ProjectFile],
                enumerations: list[PathEnumeration]) -> str:
     """The unit's source plus every project class its paths step into."""
-    involved: set[str] = set()
-    for enumeration in enumerations:
-        for path in enumeration.paths:
-            for step in path.steps:
-                if step.callee_kind == KIND_USER:
-                    involved.add(step.class_fqn)
+    involved = {step.class_fqn for enumeration in enumerations
+                for path in enumeration.paths for step in path.steps
+                if step.callee_kind == KIND_USER}
     involved.discard(entry.unit.fqn)
-    parts = [entry.text]
-    for fqn in sorted(involved):
-        other = project.get(fqn)
-        if other is not None:
-            parts.append(other.text)
+    parts = [entry.text] + [project[fqn].text for fqn in sorted(involved) if fqn in project]
+    # each file ends with a newline, so a closing line comment ends in its own file
     return "".join(text if text.endswith("\n") else text + "\n" for text in parts)
 
 

@@ -18,10 +18,10 @@ from ..analyzer import (
     PathBudget,
     SourceSyntaxError,
     analyze_project,
-    parse_source,
+    parse_sources,
 )
 from ..templates import TemplateBody
-from .prompt import PromptBundle
+from .prompt import PromptBundle, java_code_slot
 from .responses import MalformedResponse, parse_response, render_records, ExtractedTemplate
 
 API_KEY_VARIABLE = "LOGSMITH_API_KEY"
@@ -32,8 +32,11 @@ VERIFIER_PREFIX = (
 )
 
 
+_VERIFIER_HEAD = f"{VERIFIER_PREFIX}\n\nTemplate: "
+
+
 def build_verifier_prompt(template_text: str) -> str:
-    return f"{VERIFIER_PREFIX}\n\nTemplate: {template_text}\n"
+    return f"{_VERIFIER_HEAD}{template_text}\n"
 
 
 @dataclass(frozen=True)
@@ -49,7 +52,7 @@ class GatewayConfig:
             raise ValueError("temperature must be in [0, 2]")
         if self.max_retries < 0:
             raise ValueError("max_retries must be non-negative")
-        if self.timeout <= 0:
+        if not self.timeout > 0:
             raise ValueError("timeout must be positive")
 
 
@@ -111,19 +114,16 @@ class HttpGateway:
 class MockGateway:
     """Deterministic stand-in for a hosted model.
 
-    Extraction prompts are answered by re-parsing the source code carried
-    in the prompt's java_code slot and applying the replacement rules the
-    instructions mandate: string literals stay, and every identifier,
-    built-in call, unknown call and ``{}`` placeholder becomes a wildcard
-    — exactly one record per enumerated path. Verifier prompts are
-    answered "yes" when the template keeps at least one alphanumeric
-    constant character, "no" otherwise. Paths are enumerated under the
-    same budget and built-in method names as the analysis that wrote the
-    prompt.
+    Extraction prompts are answered by re-parsing the source files in the
+    prompt's java_code slot with the parser ``extract`` uses, and applying
+    the replacement rules the instructions mandate: string literals stay,
+    and every identifier, built-in call, unknown call and ``{}``
+    placeholder becomes a wildcard — exactly one record per enumerated
+    path. Verifier prompts are answered "yes" when the template keeps at
+    least one alphanumeric constant character, "no" otherwise. Paths are
+    enumerated under the same budget and built-in method names as the
+    analysis that wrote the prompt.
     """
-
-    CODE_MARKER = "- java_code: "
-    REPORT_MARKER = "\n- static_analysis_report:"
 
     def __init__(self, budget: PathBudget = PathBudget(),
                  builtin_methods=DEFAULT_BUILTIN_METHODS):
@@ -131,54 +131,22 @@ class MockGateway:
         self.builtin_methods = builtin_methods
 
     def send(self, prompt: str) -> str:
-        if prompt.startswith(VERIFIER_PREFIX):
-            return self._verify(prompt)
-        return self._extract(prompt)
-
-    def _verify(self, prompt: str) -> str:
-        marker = "Template: "
-        start = prompt.find(marker)
-        template_text = prompt[start + len(marker):].strip() if start >= 0 else ""
-        body = TemplateBody.parse(template_text)
+        if not prompt.startswith(_VERIFIER_HEAD):
+            return self._extract(prompt)
+        body = TemplateBody.parse(prompt[len(_VERIFIER_HEAD):].strip())
         keeps_content = any(ch.isalnum() for const in body.constants for ch in const)
         return "yes" if keeps_content else "no"
 
     def _extract(self, prompt: str) -> str:
-        chunks = _split_units(self._java_code(prompt))
         try:
-            units = [parse_source(chunk, path=f"<prompt:{index}>")
-                     for index, chunk in enumerate(chunks)]
-        except SourceSyntaxError as exc:
-            # the split also cuts at a "package " line inside a comment, and
-            # before a file's package line; a piece that does not parse fails
-            # the unit like any other gateway call
+            units = parse_sources(java_code_slot(prompt), path="<prompt>")
+        except (ValueError, SourceSyntaxError) as exc:
             raise GatewayUnavailable(f"mock could not parse the prompt's code: {exc}") from exc
         analyses = analyze_project(units, self.budget, self.builtin_methods)
         return render_records([
             ExtractedTemplate(method=e.site.method_fqn, template=path.yielded.render(),
                               level=e.site.level)
             for enumerations in analyses for e in enumerations for path in e.paths])
-
-    def _java_code(self, prompt: str) -> str:
-        start = prompt.find(self.CODE_MARKER)
-        end = prompt.find(self.REPORT_MARKER)
-        if start < 0 or end < 0 or end <= start:
-            return ""
-        return prompt[start + len(self.CODE_MARKER):end]
-
-
-def _split_units(java_code: str) -> list[str]:
-    """Split concatenated source files at their package declarations."""
-    chunks: list[str] = []
-    current: list[str] = []
-    for line in java_code.splitlines():
-        if line.startswith("package ") and current and any(s.strip() for s in current):
-            chunks.append("\n".join(current) + "\n")
-            current = []
-        current.append(line)
-    if any(s.strip() for s in current):
-        chunks.append("\n".join(current) + "\n")
-    return chunks
 
 
 def make_gateway(config: GatewayConfig, budget: PathBudget = PathBudget(),

@@ -2,8 +2,9 @@
 
 The instruction text is fixed; a prompt is the instructions with the two
 input slots filled in: the source code under analysis and the rendered
-static-analysis report. Slot substitution is plain string replacement so
-the literal braces in the instructions survive untouched.
+static-analysis report. The text around the slots is joined with their
+contents, so the literal braces in the instructions survive untouched and
+the reader of a prompt finds the code slot by the same pieces.
 """
 
 from __future__ import annotations
@@ -39,8 +40,14 @@ Now process the following input:
 {static_analysis_report}
 """
 
-_CODE_SLOT = "{java_code}"
-_REPORT_SLOT = "{static_analysis_report}"
+
+def _pieces(instructions: str) -> tuple[str, ...]:
+    """The text before, between and after the code and report slots."""
+    head, rest = instructions.split("{java_code}")
+    return (head, *rest.split("{static_analysis_report}"))
+
+
+_HEAD, _REPORT_MARKER, _ = _pieces(PROMPT_TEMPLATE)
 
 
 @dataclass(frozen=True)
@@ -51,10 +58,8 @@ class PromptBundle:
 
     def render(self) -> str:
         """The full prompt text sent to the gateway."""
-        text = self.system_instructions
-        text = text.replace(_CODE_SLOT, self.java_code, 1)
-        text = text.replace(_REPORT_SLOT, self.static_analysis_report, 1)
-        return text
+        head, between, tail = _pieces(self.system_instructions)
+        return head + self.java_code + between + self.static_analysis_report + tail
 
 
 def build_prompt(java_code: str, static_analysis_report: str) -> PromptBundle:
@@ -64,3 +69,13 @@ def build_prompt(java_code: str, static_analysis_report: str) -> PromptBundle:
         java_code=java_code,
         static_analysis_report=static_analysis_report,
     )
+
+
+def java_code_slot(prompt: str) -> str:
+    """The source code of a rendered extraction prompt, which ends at the last
+    report marker (the code may hold one in a comment); ValueError for any
+    other text."""
+    end = prompt.rfind(_REPORT_MARKER)
+    if not prompt.startswith(_HEAD) or end < len(_HEAD):
+        raise ValueError("not an extraction prompt")
+    return prompt[len(_HEAD):end]

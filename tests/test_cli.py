@@ -117,9 +117,9 @@ def test_extract_partial_parse_is_ok(tmp_path, capsys):
     assert len(load_repository(out)) == 4
 
 
-def test_package_line_in_a_comment_fails_only_that_unit(tmp_path, capsys):
-    # the mock gateway splits its prompt at every line that starts "package ",
-    # so this valid file reaches it as two chunks, and "/*" alone does not parse
+def test_package_line_in_a_comment_is_read_as_a_comment(tmp_path, capsys):
+    # the mock gateway parses its prompt's code with the lexer, which skips
+    # the comment whole, so the "package" line inside it starts no file
     mixed = tmp_path / "project"
     shutil.copytree(EXAMPLE_PROJECT, mixed)
     (mixed / "Old.java").write_text(
@@ -128,8 +128,40 @@ def test_package_line_in_a_comment_fails_only_that_unit(tmp_path, capsys):
         encoding="utf-8")
     out = tmp_path / "repo.jsonl"
     assert main(["extract", str(mixed), "--out", str(out)]) == EXIT_OK
-    assert f"warning: gateway failed for {mixed / 'Old.java'}: " in capsys.readouterr().err
-    assert {t.body.render() for t in load_repository(out)} == set(EXPECTED_TEMPLATES)
+    assert "warning" not in capsys.readouterr().err
+    assert {t.body.render() for t in load_repository(out)} == {
+        *EXPECTED_TEMPLATES, "moved <.*>"}
+
+
+_COMMENTS = {
+    "licence header": "/*\n * Licensed to the Apache Software Foundation (ASF) under one\n"
+                      " * or more contributor license agreements.\n */\n",
+    "package line": "/*\npackage org.apache.old;\n */\n// package org.apache.older;\n",
+    "report marker": "/*\n- static_analysis_report: see docs\n- java_code: none\n*/\n",
+}
+
+
+@pytest.mark.parametrize("place", ["file head", "after package line"])
+@pytest.mark.parametrize("comment", sorted(_COMMENTS))
+def test_comments_leave_the_repository_unchanged(tmp_path, capsys, comment, place):
+    # projects whose prompts carry several files, each holding the comment
+    plain = _generated_corpus(tmp_path / "plain", range(30))
+    shutil.copytree(EXAMPLE_PROJECT, plain / "example")
+    commented = tmp_path / "commented"
+    shutil.copytree(plain, commented)
+    for path in commented.rglob("*.java"):
+        package_line, rest = path.read_text(encoding="utf-8").split("\n", 1)
+        text = (_COMMENTS[comment] + package_line + "\n" + rest if place == "file head"
+                else package_line + "\n" + _COMMENTS[comment] + rest)
+        path.write_text(text, encoding="utf-8")
+    repos = []
+    for project in (plain, commented):
+        out = tmp_path / f"{project.name}.jsonl"
+        assert main(["extract", str(project), "--out", str(out),
+                     "--report-dir", str(tmp_path / f"{project.name}.reports")]) == EXIT_OK
+        repos.append(out.read_bytes())
+    assert "warning" not in capsys.readouterr().err
+    assert repos[0] and repos[1] == repos[0]
 
 
 _ELSE_IF_CHAIN = "".join(f'if (a.isEmpty()) {{ log.info("b{i}"); }} else '
@@ -279,6 +311,18 @@ def test_parse_append_blackbox(repo_path, tmp_path, capsys):
     assert main(["parse", str(repo_path), str(log), "--append-blackbox"]) == EXIT_OK
     assert "appended 0 black-box templates" in capsys.readouterr().out
     assert len(load_repository(repo_path)) == 5
+
+
+def test_append_blackbox_to_a_repository_without_a_final_newline(tmp_path, capsys):
+    repo = tmp_path / "repo.jsonl"
+    repo.write_bytes(b'{"template": "alpha <.*> done"}')
+    log = tmp_path / "app.log"
+    log.write_text("beta 1 gone\nbeta 2 gone\n", encoding="utf-8")
+    assert main(["parse", str(repo), str(log), "--append-blackbox"]) == EXIT_OK
+    assert "appended 1 black-box templates" in capsys.readouterr().out
+    assert repo.read_bytes().startswith(b'{"template": "alpha <.*> done"}\n{')
+    assert main(["parse", str(repo), str(log)]) == EXIT_OK
+    assert "2 lines: 2 matched" in capsys.readouterr().out
 
 
 def test_parse_from_stdin(repo_path, monkeypatch, capsys):
@@ -535,6 +579,15 @@ def test_eval_perfect_scores(tmp_path, capsys):
     assert payload["timing"] is None
 
 
+@pytest.mark.parametrize("breaker", ["\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029"])
+def test_eval_reads_both_sides_by_the_same_line_rule(tmp_path, capsys, breaker):
+    # a line ends only at "\n", on the parsed side as in the ground truth
+    templates = tmp_path / "templates.txt"
+    templates.write_text(f"a{breaker}b <.*>\nqueue empty\n", encoding="utf-8")
+    assert main(["eval", str(templates), str(templates)]) == EXIT_OK
+    assert "precision 1.000  recall 1.000  f1 1.000" in capsys.readouterr().out
+
+
 def test_eval_repository_input(repo_path, tmp_path, capsys):
     truth = tmp_path / "truth.txt"
     truth.write_text("User_<.*>_NotFound\nInvalid_User_ID<.*>\n"
@@ -629,6 +682,22 @@ def test_bad_config_is_fatal(tmp_path, capsys):
                  str(tmp_path / "repo.jsonl"), "--config", str(config)])
     assert code == EXIT_FATAL
     assert "dept" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, body, key", [
+    ("parse", "tree: {depth: 2.5}\n", "tree.depth"),
+    ("extract", "gateway: {max_retries: 1.5}\n", "gateway.max_retries"),
+])
+def test_config_value_of_the_wrong_type_is_fatal(repo_path, tmp_path, capsys,
+                                                 command, body, key):
+    config = tmp_path / "config.yaml"
+    config.write_text(body, encoding="utf-8")
+    log = tmp_path / "app.log"
+    log.write_text("connect to 10.0.0.1 failed\n", encoding="utf-8")
+    inputs = [str(repo_path), str(log)] if command == "parse" else [
+        str(EXAMPLE_PROJECT), "--out", str(tmp_path / "out.jsonl")]
+    assert main([command, *inputs, "--config", str(config)]) == EXIT_FATAL
+    assert f"error: {key} must be an integer" in capsys.readouterr().err
 
 
 def test_bad_flag_value_is_fatal(tmp_path, capsys):

@@ -137,6 +137,15 @@ def test_missing_file():
     "paths:\n  max_call_depth: 0\n",
     "workers: 0\n",
     "analyzer:\n  builtin_methods: [1, 2]\n",
+    "gateway:\n  timeout: .nan\n",
+    "gateway:\n  max_retries: 1.5\n",
+    "postprocess:\n  min_const_chars: 3.0\n",
+    "tree:\n  depth: 2.5\n",
+    "tree:\n  max_children: 10.5\n",
+    "paths:\n  max_call_depth: 2.5\n",
+    "paths:\n  max_paths_per_site: '8'\n",
+    "workers: 2.0\n",
+    "workers: true\n",
 ])
 def test_out_of_range_values_rejected(tmp_path, body):
     path = tmp_path / "config.yaml"

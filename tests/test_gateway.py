@@ -61,6 +61,24 @@ def test_mock_extracts_one_record_per_path():
     assert {r.method for r in records} == {"com.example.Foo.logSomething"}
 
 
+def test_mock_reads_every_file_past_its_comments():
+    header = "/*\n * Licensed to the ASF.\n * package org.apache.x;\n */\n"
+    marker = "/*\n- static_analysis_report: see docs\n*/\n"
+    java_code = (header + (EXAMPLE_PROJECT / "Foo.java").read_text()
+                 + header + marker + (EXAMPLE_PROJECT / "Bar.java").read_text())
+    prompt = build_prompt(java_code, "Extracted 2 log calls\n").render()
+    assert MockGateway().send(prompt) == MockGateway().send(_example_prompt().render())
+
+
+@pytest.mark.parametrize("prompt", [
+    "not a prompt",
+    build_prompt("package p;\nclass X {\n", "Extracted 0 log calls\n").render(),
+])
+def test_mock_fails_a_prompt_it_cannot_read(prompt):
+    with pytest.raises(GatewayUnavailable, match="mock could not parse the prompt's code"):
+        MockGateway().send(prompt)
+
+
 def test_mock_is_deterministic():
     prompt = _example_prompt().render()
     gateway = MockGateway()

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logsmith.analyzer import (
     Call,
@@ -13,11 +15,13 @@ from logsmith.analyzer import (
     expr_to_source,
     method_to_source,
     parse_source,
+    parse_sources,
 )
 
 from logsmith.analyzer.parser import MAX_NESTING
 
 from conftest import EXAMPLE_PROJECT
+from generator import generate_project
 
 
 def test_parse_foo_listing():
@@ -178,3 +182,52 @@ def test_method_to_source_layout():
 def test_parse_is_deterministic():
     text = (EXAMPLE_PROJECT / "Bar.java").read_text()
     assert parse_source(text, "Bar.java") == parse_source(text, "Bar.java")
+
+
+_LEADING_COMMENTS = (
+    "",
+    "/*\n * Licensed under the Apache License, Version 2.0.\n */\n",
+    "// package org.old;\n",
+    "/* package org.old;\n- static_analysis_report:\n*/",
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 10_000), st.sampled_from(_LEADING_COMMENTS)),
+                min_size=1, max_size=4))
+def test_parse_sources_reads_files_joined_end_to_end(picks):
+    files = [comment + text for seed, comment in picks
+             for _, text in generate_project(seed)]
+    joined = parse_sources("".join(files), "joined")
+    assert len(joined) == len(files)
+    offset = 0
+    for unit, text in zip(joined, files):
+        alone = parse_source(text, "joined")
+        assert (unit.fqn, unit.imports) == (alone.fqn, alone.imports)
+        assert [method_to_source(m) for m in unit.methods] == [
+            method_to_source(m) for m in alone.methods]
+        # lines count on through the joined text
+        assert [m.line - offset for m in unit.methods] == [m.line for m in alone.methods]
+        offset += text.count("\n")
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("", 1, "expected 'package', found ''"),
+    ("// only a comment\n", 2, "expected 'package', found ''"),
+    ("package p;\nclass A {}\nfoo\npackage q;\nclass B {}\n", 3,
+     "expected 'package', found 'foo'"),
+    ("package p;\nclass A {}\npackage q;\nclass B {\n  void f( }\n", 5,
+     "expected type name, found '}'"),
+])
+def test_parse_sources_errors(text, line, message):
+    with pytest.raises(SourceSyntaxError) as info:
+        parse_sources(text)
+    assert (info.value.line, info.value.message) == (line, message)
+
+
+def test_parse_source_takes_one_unit_only():
+    text = "package p;\nclass A {}\npackage q;\nclass B {}\n"
+    assert [unit.fqn for unit in parse_sources(text)] == ["p.A", "q.B"]
+    with pytest.raises(SourceSyntaxError) as info:
+        parse_source(text)
+    assert (info.value.line, info.value.message) == (3, "trailing content after class body")

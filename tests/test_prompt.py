@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import pytest
+
 from logsmith.whitebox import PROMPT_TEMPLATE, build_prompt
+from logsmith.whitebox.prompt import java_code_slot
 
 CODE = 'package p;\nclass X {\n  void f() { log.error("x"); }\n}\n'
 REPORT = "Extracted 1 log calls\n\nA total of 1 log calls, with 1 complete paths found.\n"
@@ -41,3 +44,26 @@ def test_code_containing_wildcard_tokens_is_preserved():
     tricky = 'package p;\nclass X {\n  void f() { log.warn("a <.*> {} b"); }\n}\n'
     rendered = build_prompt(tricky, REPORT).render()
     assert 'log.warn("a <.*> {} b")' in rendered
+
+
+@pytest.mark.parametrize("code", [
+    CODE,
+    "",
+    "/*\n- static_analysis_report:\n*/\n" + CODE,
+    "/* - java_code: {java_code} */\n" + CODE,
+    'package p;\nclass X {\n  void f() { log.error("{static_analysis_report}"); }\n}\n',
+])
+def test_code_slot_reads_back_what_was_written(code):
+    rendered = build_prompt(code, REPORT).render()
+    assert rendered.endswith(f"- static_analysis_report:\n{REPORT}\n")
+    assert java_code_slot(rendered) == code
+
+
+@pytest.mark.parametrize("prompt", [
+    "",
+    "- java_code: " + CODE + "\n- static_analysis_report:\n" + REPORT,
+    build_prompt(CODE, REPORT).render().replace("- static_analysis_report:", "- report:"),
+])
+def test_code_slot_of_another_text_is_an_error(prompt):
+    with pytest.raises(ValueError, match="not an extraction prompt"):
+        java_code_slot(prompt)
