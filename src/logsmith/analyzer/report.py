@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .paths import KIND_USER, PathEnumeration
+from .syntax import escape_string
 
 UNDEFINED_TEMPLATE = "undefined template"
 
@@ -101,7 +102,7 @@ def render_report(report: StaticReport) -> str:
         paths = entry.enumeration.paths
         lines.append(f"=== Analysis of log call {index} ===")
         lines.append(f"Location: line {entry.line}, method: {entry.level}")
-        lines.append(f"Template: {entry.initial_template}")
+        lines.append(f"Template: {escape_string(entry.initial_template)}")
         lines.append("")
         lines.append(f"=== Call path analysis results ({len(paths)} paths in total) ===")
         lines.append("")

@@ -8,8 +8,9 @@ rejected rather than ignored so typos fail loudly.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import yaml
 
@@ -55,35 +56,42 @@ class Config:
 # The keys each section of the file accepts; ``workers`` is the only
 # top-level key that is not a section.
 SECTIONS = {
-    "gateway": {"endpoint", "model", "temperature", "timeout", "max_retries"},
-    "postprocess": {"min_const_chars", "min_const_token_ratio", "enable_verifier"},
+    "gateway": {item.name for item in fields(GatewayConfig)},
+    "postprocess": {item.name for item in fields(PostProcessPolicy)},
     "tree": {"depth", "sim_threshold", "max_children"},
-    "paths": {"max_call_depth", "max_paths_per_site"},
+    "paths": {item.name for item in fields(PathBudget)},
     "matching": {"header_pattern", "allow_empty_inner"},
     "analyzer": {"builtin_methods"},
 }
 
-
-# A float in these would pass the range checks and fail in the stage using it.
-_INTEGER_KEYS = {"max_retries", "min_const_chars", "depth", "max_children",
-                 "max_call_depth", "max_paths_per_site", "workers"}
-
-
-def _integers_checked(mapping: dict, prefix: str) -> dict:
-    for key in _INTEGER_KEYS & mapping.keys():
-        if type(mapping[key]) is not int:  # bool is an int subclass
-            raise ConfigError(f"{prefix}{key} must be an integer, not {mapping[key]!r}")
-    return mapping
+# What the file must give a field of each type, and the exact types it may
+# be; a bool is no number, though Python counts it as an int.
+_TYPES = {int: ("an integer", (int,)), float: ("a number", (int, float)),
+          bool: ("true or false", (bool,)), str: ("a string", (str,)),
+          str | None: ("a string or null", (str, type(None))),
+          tuple[str, ...]: ("a list of strings", (list,))}
 
 
-def _section(data: dict, name: str, allowed: set[str]) -> dict:
+def _typed(name: str, value, hint):
+    """``value`` as a field annotated ``hint`` holds it; ``name`` is its key in the file."""
+    expected, types = _TYPES[hint]
+    if type(value) not in types or (
+            hint == tuple[str, ...] and not all(type(item) is str for item in value)):
+        raise ConfigError(f"{name} must be {expected}, not {value!r}")
+    return tuple(value) if type(value) is list else float(value) if hint is float else value
+
+
+def _section(data: dict, name: str, owner: type, prefix: str = "") -> dict:
+    """Section ``name`` as values of ``owner``'s fields, each named ``prefix`` + key."""
     section = data.get(name) or {}
     if not isinstance(section, dict):
         raise ConfigError(f"section {name!r} must be a mapping")
-    unknown = set(section) - allowed
+    unknown = set(section) - SECTIONS[name]
     if unknown:
         raise ConfigError(f"unknown keys in {name!r}: {', '.join(sorted(unknown))}")
-    return _integers_checked(section, f"{name}.")
+    hints = get_type_hints(owner)
+    return {prefix + key: _typed(f"{name}.{key}", value, hints[prefix + key])
+            for key, value in section.items()}
 
 
 def read_config(path: str | Path) -> dict:
@@ -108,26 +116,17 @@ def build_config(data) -> Config:
     unknown = set(data) - set(SECTIONS) - {"workers"}
     if unknown:
         raise ConfigError(f"unknown top-level keys: {', '.join(sorted(unknown))}")
-    sections = {name: _section(data, name, keys) for name, keys in SECTIONS.items()}
-    _integers_checked(data, "")
-
-    fields = {f"tree_{key}": value for key, value in sections["tree"].items()}
-    fields.update(sections["matching"])
-    if "allow_empty_inner" in fields:
-        fields["allow_empty_inner"] = bool(fields["allow_empty_inner"])
-    if "builtin_methods" in sections["analyzer"]:
-        builtins = sections["analyzer"]["builtin_methods"]
-        if (not isinstance(builtins, list)
-                or not all(isinstance(name, str) for name in builtins)):
-            raise ConfigError("analyzer.builtin_methods must be a list of strings")
-        fields["builtin_methods"] = tuple(builtins)
-    if "workers" in data:
-        fields["workers"] = data["workers"]
-    try:
-        return Config(gateway=GatewayConfig(**sections["gateway"]),
-                      postprocess=PostProcessPolicy(**sections["postprocess"]),
-                      budget=PathBudget(**sections["paths"]), **fields)
-    except (TypeError, ValueError) as exc:
+    try:  # out-of-range values, an integer past the float range among them
+        values = {**_section(data, "tree", Config, "tree_"),
+                  **_section(data, "matching", Config), **_section(data, "analyzer", Config)}
+        if "workers" in data:
+            hint = get_type_hints(Config)["workers"]
+            values["workers"] = _typed("workers", data["workers"], hint)
+        return Config(gateway=GatewayConfig(**_section(data, "gateway", GatewayConfig)),
+                      postprocess=PostProcessPolicy(
+                          **_section(data, "postprocess", PostProcessPolicy)),
+                      budget=PathBudget(**_section(data, "paths", PathBudget)), **values)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
 
 

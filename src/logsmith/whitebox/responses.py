@@ -9,11 +9,16 @@ well-formed array rather than requiring pure JSON.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 
 from ..templates import LEVELS
 
 _REQUIRED_FIELDS = ("method", "template", "level")
+
+# A record array opens with an object or is empty, so only a ``[`` followed,
+# after JSON whitespace, by ``{`` or ``]`` can start one.
+_CANDIDATE = re.compile(r"\[(?=[ \t\n\r]*[{\]])")
 
 
 class MalformedResponse(Exception):
@@ -46,21 +51,17 @@ def _coerce_record(obj) -> ExtractedTemplate | None:
 def parse_response(text: str) -> list[ExtractedTemplate]:
     """Extract the first well-formed record array found in ``text``.
 
-    Surrounding prose and code fences are tolerated: every ``[`` in the
-    text starts a candidate, and the first candidate that decodes as a
+    Surrounding prose and code fences are tolerated: every ``[`` that can
+    open a record array starts a candidate, and the first one that decodes as a
     JSON array whose elements all carry the three string fields (with a
     recognized level) wins. Raises MalformedResponse when no candidate
     qualifies.
     """
     decoder = json.JSONDecoder()
-    for start, char in enumerate(text):
-        if char != "[":
-            continue
+    for candidate in _CANDIDATE.finditer(text):
         try:
-            value, _ = decoder.raw_decode(text, start)
+            value, _ = decoder.raw_decode(text, candidate.start())
         except (ValueError, RecursionError):  # nesting past the decoder's reach
-            continue
-        if not isinstance(value, list):
             continue
         records = [_coerce_record(item) for item in value]
         if all(record is not None for record in records):

@@ -164,6 +164,22 @@ def test_comments_leave_the_repository_unchanged(tmp_path, capsys, comment, plac
     assert repos[0] and repos[1] == repos[0]
 
 
+def test_report_marker_in_a_log_literal_keeps_the_file(tmp_path, capsys):
+    # the report writes the literal escaped, so the marker's line break stays
+    # "\n" there and the mock's code slot still ends at the real marker
+    project = tmp_path / "project"
+    project.mkdir()
+    (project / "Usage.java").write_text(
+        "package com.x;\n\npublic class Usage {\n  public void help(String id) {\n"
+        '    log.info("usage:\\n- static_analysis_report:\\n");\n'
+        '    log.warn("no command " + id);\n  }\n}\n', encoding="utf-8")
+    out = tmp_path / "repo.jsonl"
+    assert main(["extract", str(project), "--out", str(out)]) == EXIT_OK
+    assert "warning" not in capsys.readouterr().err
+    assert [t.body.render() for t in load_repository(out)] == [
+        "usage:\n- static_analysis_report:", "no command <.*>"]
+
+
 _ELSE_IF_CHAIN = "".join(f'if (a.isEmpty()) {{ log.info("b{i}"); }} else '
                          for i in range(1_000)) + "{ }"
 _DEEPLY_NESTED = {
@@ -684,12 +700,13 @@ def test_bad_config_is_fatal(tmp_path, capsys):
     assert "dept" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command, body, key", [
-    ("parse", "tree: {depth: 2.5}\n", "tree.depth"),
-    ("extract", "gateway: {max_retries: 1.5}\n", "gateway.max_retries"),
+@pytest.mark.parametrize("command, body, key, message", [
+    ("parse", "tree: {depth: 2.5}\n", "tree.depth", "must be an integer"),
+    ("extract", "gateway: {max_retries: 1.5}\n", "gateway.max_retries", "must be an integer"),
+    ("extract", "gateway: {endpoint: 5}\n", "gateway.endpoint", "must be a string"),
 ])
 def test_config_value_of_the_wrong_type_is_fatal(repo_path, tmp_path, capsys,
-                                                 command, body, key):
+                                                 command, body, key, message):
     config = tmp_path / "config.yaml"
     config.write_text(body, encoding="utf-8")
     log = tmp_path / "app.log"
@@ -697,7 +714,8 @@ def test_config_value_of_the_wrong_type_is_fatal(repo_path, tmp_path, capsys,
     inputs = [str(repo_path), str(log)] if command == "parse" else [
         str(EXAMPLE_PROJECT), "--out", str(tmp_path / "out.jsonl")]
     assert main([command, *inputs, "--config", str(config)]) == EXIT_FATAL
-    assert f"error: {key} must be an integer" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error: {key} {message}" in err and "Traceback" not in err
 
 
 def test_bad_flag_value_is_fatal(tmp_path, capsys):

@@ -4,6 +4,7 @@ import pytest
 
 from logsmith.blackbox import ClusterTree
 from logsmith.config import Config, ConfigError, load_config
+from logsmith.whitebox import GatewayConfig
 
 
 def test_defaults():
@@ -85,6 +86,16 @@ def test_empty_file_gives_defaults(tmp_path):
     assert load_config(path) == Config()
 
 
+def test_integer_for_a_number_and_null_pattern_are_accepted(tmp_path):
+    path = tmp_path / "config.yaml"
+    path.write_text("gateway:\n  timeout: 5\nmatching:\n  header_pattern: null\n",
+                    encoding="utf-8")
+    config = load_config(path)
+    assert config == Config(gateway=GatewayConfig(timeout=5.0))
+    assert type(config.gateway.timeout) is float
+    assert config.header_pattern is None
+
+
 def test_unknown_top_level_key(tmp_path):
     path = tmp_path / "config.yaml"
     path.write_text("gatway:\n  endpoint: 'mock:'\n", encoding="utf-8")
@@ -146,6 +157,14 @@ def test_missing_file():
     "paths:\n  max_paths_per_site: '8'\n",
     "workers: 2.0\n",
     "workers: true\n",
+    "gateway:\n  endpoint: 5\n",
+    "gateway:\n  model: [a]\n",
+    "gateway:\n  timeout: true\n",
+    "postprocess:\n  enable_verifier: 'false'\n",
+    "matching:\n  allow_empty_inner: 'false'\n",
+    "matching:\n  header_pattern: 5\n",
+    "analyzer:\n  builtin_methods: [a, 1]\n",
+    pytest.param("gateway:\n  timeout: 1" + "0" * 400 + "\n", id="timeout past the float range"),
 ])
 def test_out_of_range_values_rejected(tmp_path, body):
     path = tmp_path / "config.yaml"

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from logsmith.whitebox import (
@@ -70,6 +72,14 @@ def test_multiple_records_preserve_order():
 def test_malformed_responses_rejected(text):
     with pytest.raises(MalformedResponse):
         parse_response(text)
+
+
+def test_bracket_flood_is_rejected_in_bounded_time():
+    # no "[" here can open a record array, so none is decoded
+    started = time.perf_counter()
+    with pytest.raises(MalformedResponse):
+        parse_response("[1," * 100_000)
+    assert time.perf_counter() - started < 1.0
 
 
 def test_render_parse_round_trip():
