@@ -24,7 +24,6 @@ from .paths import (
 )
 from .report import (
     UNDEFINED_TEMPLATE,
-    ReportEntry,
     StaticReport,
     build_report,
     render_report,
@@ -66,7 +65,6 @@ __all__ = [
     "PathEnumeration",
     "PathStep",
     "RecursionCycle",
-    "ReportEntry",
     "ResolvedTarget",
     "Return",
     "SourceSyntaxError",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .logcalls import LogCallSite
 from .paths import KIND_USER, PathEnumeration
 from .syntax import escape_string
 
@@ -24,39 +25,35 @@ _KIND_TEXT = {
 
 
 @dataclass(frozen=True)
-class ReportEntry:
-    line: int
-    level: str
-    initial_template: str
-    enumeration: PathEnumeration
-
-
-@dataclass(frozen=True)
 class StaticReport:
-    entries: tuple[ReportEntry, ...]
+    enumerations: tuple[PathEnumeration, ...]
 
     @property
     def call_count(self) -> int:
-        return len(self.entries)
+        return len(self.enumerations)
 
     @property
     def total_paths(self) -> int:
-        return sum(len(entry.enumeration.paths) for entry in self.entries)
+        return sum(len(enum.paths) for enum in self.enumerations)
 
     def to_dict(self) -> dict:
         return {
             "call_count": self.call_count,
             "total_paths": self.total_paths,
-            "calls": [_entry_dict(entry) for entry in self.entries],
+            "calls": [_call_dict(enum) for enum in self.enumerations],
         }
 
 
-def _entry_dict(entry: ReportEntry) -> dict:
-    enum = entry.enumeration
+def _initial_template(site: LogCallSite) -> str:
+    """The log call's literal format, or UNDEFINED_TEMPLATE when it has none."""
+    return site.literal_format if site.literal_format is not None else UNDEFINED_TEMPLATE
+
+
+def _call_dict(enum: PathEnumeration) -> dict:
     return {
-        "line": entry.line,
-        "level": entry.level,
-        "initial_template": entry.initial_template,
+        "line": enum.site.line,
+        "level": enum.site.level,
+        "initial_template": _initial_template(enum.site),
         "flags": {
             "involves_conditional": enum.involves_conditional,
             "involves_external_call": enum.involves_external_call,
@@ -84,25 +81,16 @@ def _entry_dict(entry: ReportEntry) -> dict:
 
 
 def build_report(enumerations: list[PathEnumeration]) -> StaticReport:
-    entries = []
-    for enum in enumerations:
-        literal = enum.site.literal_format
-        entries.append(ReportEntry(
-            line=enum.site.line,
-            level=enum.site.level,
-            initial_template=literal if literal is not None else UNDEFINED_TEMPLATE,
-            enumeration=enum,
-        ))
-    return StaticReport(entries=tuple(entries))
+    return StaticReport(enumerations=tuple(enumerations))
 
 
 def render_report(report: StaticReport) -> str:
     lines = [f"Extracted {report.call_count} log calls", ""]
-    for index, entry in enumerate(report.entries, 1):
-        paths = entry.enumeration.paths
+    for index, enum in enumerate(report.enumerations, 1):
+        paths = enum.paths
         lines.append(f"=== Analysis of log call {index} ===")
-        lines.append(f"Location: line {entry.line}, method: {entry.level}")
-        lines.append(f"Template: {escape_string(entry.initial_template)}")
+        lines.append(f"Location: line {enum.site.line}, method: {enum.site.level}")
+        lines.append(f"Template: {escape_string(_initial_template(enum.site))}")
         lines.append("")
         lines.append(f"=== Call path analysis results ({len(paths)} paths in total) ===")
         lines.append("")

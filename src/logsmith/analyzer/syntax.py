@@ -9,7 +9,7 @@ pretty printers below produce the canonical source text used in reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 # --- expressions ---

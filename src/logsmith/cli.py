@@ -171,7 +171,7 @@ def _log_lines(source: str) -> Iterator[str]:
     """Lines of a log file (opened now, before any output) or of stdin for ``-``,
     as they arrive; a warning at the end counts lines whose bad UTF-8 became U+FFFD."""
     if source == "-" and not hasattr(sys.stdin, "buffer"):  # a text stream, no bytes
-        return (line for text in sys.stdin for line in text.splitlines())
+        return (line for text in sys.stdin for line in _split_line_ends(text))
     handle = nullcontext(sys.stdin.buffer) if source == "-" else open(source, "rb")
     return _decode_lines(handle, source)
 
@@ -185,10 +185,17 @@ def _decode_lines(handle, source: str) -> Iterator[str]:
             except UnicodeDecodeError:
                 text = raw.decode("utf-8", errors="replace")
                 repaired += 1
-            yield from text.splitlines()
+            yield from _split_line_ends(text)
     if repaired:
         print(f"warning: replaced invalid UTF-8 in {repaired} lines of {source}",
               file=sys.stderr)
+
+
+def _split_line_ends(text: str) -> list[str]:
+    r"""The log lines of a text whose only "\n", if any, ends it: a line ends at
+    "\n", "\r\n" or "\r", as ``eval`` reads its template files, and not at
+    the other breaks ``str.splitlines`` knows, such as "\x0c" or U+2028."""
+    return text.removesuffix("\n").removesuffix("\r").split("\r")
 
 
 def _record_line(result: MatchResult) -> str:

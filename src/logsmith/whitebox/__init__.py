@@ -26,7 +26,7 @@ from .gateway import (
     make_gateway,
 )
 from .postprocess import PostProcessPolicy, Rejection, post_process
-from .prompt import PROMPT_TEMPLATE, PromptBundle, build_prompt
+from .prompt import PROMPT_TEMPLATE, build_prompt
 from .responses import ExtractedTemplate, MalformedResponse, parse_response, render_records
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "PostProcessPolicy",
     "ProjectExtraction",
     "ProjectFile",
-    "PromptBundle",
     "Rejection",
     "RetriesExhausted",
     "UnitExtraction",

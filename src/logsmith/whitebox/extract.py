@@ -26,8 +26,8 @@ from ..analyzer import (
 from ..templates import Template, merge_templates
 from .gateway import GatewayConfig, GatewayError, invoke_gateway, make_gateway
 from .postprocess import PostProcessPolicy, Rejection, post_process
-from .prompt import PromptBundle, build_prompt
-from .responses import ExtractedTemplate, parse_response
+from .prompt import build_prompt
+from .responses import parse_response
 
 
 @dataclass(frozen=True)
@@ -42,9 +42,6 @@ class UnitExtraction:
     enumerations: list[PathEnumeration]
     report: StaticReport
     report_text: str
-    prompt: PromptBundle | None = None
-    raw_response: str | None = None
-    records: list[ExtractedTemplate] = field(default_factory=list)
     accepted: list[Template] = field(default_factory=list)
     rejected: list[Rejection] = field(default_factory=list)
     error: str | None = None
@@ -72,14 +69,13 @@ def extract_unit(entry: ProjectFile, project: dict[str, ProjectFile],
     if not enumerations:
         return result
 
-    result.prompt = build_prompt(_java_code(entry, project, enumerations), report_text)
+    prompt = build_prompt(_java_code(entry, project, enumerations), report_text)
     try:
-        result.raw_response = invoke_gateway(result.prompt, gateway_config, gateway)
+        reply = invoke_gateway(prompt, gateway_config, gateway)
     except GatewayError as exc:
         result.error = str(exc)
         return result
-    result.records = parse_response(result.raw_response)
-    result.accepted, result.rejected = post_process(result.records, policy, gateway)
+    result.accepted, result.rejected = post_process(parse_response(reply), policy, gateway)
     return result
 
 

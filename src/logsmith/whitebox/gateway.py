@@ -21,7 +21,7 @@ from ..analyzer import (
     parse_sources,
 )
 from ..templates import TemplateBody
-from .prompt import PromptBundle, java_code_slot
+from .prompt import java_code_slot
 from .responses import MalformedResponse, parse_response, render_records, ExtractedTemplate
 
 API_KEY_VARIABLE = "LOGSMITH_API_KEY"
@@ -106,9 +106,13 @@ class HttpGateway:
         if response.status_code >= 400:
             raise GatewayUnavailable(f"endpoint returned HTTP {response.status_code}")
         try:
-            return response.json()["choices"][0]["message"]["content"]
+            content = response.json()["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise GatewayUnavailable(f"unexpected response shape: {exc}") from exc
+        if not isinstance(content, str):
+            raise GatewayUnavailable(
+                f"unexpected response shape: content is {type(content).__name__}, not str")
+        return content
 
 
 class MockGateway:
@@ -119,10 +123,11 @@ class MockGateway:
     the replacement rules the instructions mandate: string literals stay,
     and every identifier, built-in call, unknown call and ``{}``
     placeholder becomes a wildcard — exactly one record per enumerated
-    path. Verifier prompts are answered "yes" when the template keeps at
-    least one alphanumeric constant character, "no" otherwise. Paths are
-    enumerated under the same budget and built-in method names as the
-    analysis that wrote the prompt.
+    path of a log call in the first file, the unit's own; the files after
+    it are there only for its paths to step into. Verifier prompts are
+    answered "yes" when the template keeps at least one alphanumeric
+    constant character, "no" otherwise. Paths are enumerated under the same
+    budget and built-in method names as the analysis that wrote the prompt.
     """
 
     def __init__(self, budget: PathBudget = PathBudget(),
@@ -142,7 +147,7 @@ class MockGateway:
             units = parse_sources(java_code_slot(prompt), path="<prompt>")
         except (ValueError, SourceSyntaxError) as exc:
             raise GatewayUnavailable(f"mock could not parse the prompt's code: {exc}") from exc
-        analyses = analyze_project(units, self.budget, self.builtin_methods)
+        analyses = analyze_project(units, self.budget, self.builtin_methods)[:1]
         return render_records([
             ExtractedTemplate(method=e.site.method_fqn, template=path.yielded.render(),
                               level=e.site.level)
@@ -157,14 +162,13 @@ def make_gateway(config: GatewayConfig, budget: PathBudget = PathBudget(),
     return HttpGateway(config)
 
 
-def invoke_gateway(bundle: PromptBundle, config: GatewayConfig, gateway) -> str:
+def invoke_gateway(prompt: str, config: GatewayConfig, gateway) -> str:
     """Send the prompt, retrying on transport errors and unparseable output.
 
     Performs up to ``max_retries + 1`` attempts and returns the first raw
     response whose text parses as a record array. Raises RetriesExhausted
     once attempts run out.
     """
-    prompt = bundle.render()
     attempts = config.max_retries + 1
     last_error: Exception | None = None
     for _ in range(attempts):

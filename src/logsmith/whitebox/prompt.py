@@ -9,8 +9,6 @@ the reader of a prompt finds the code slot by the same pieces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 PROMPT_TEMPLATE = """\
 You are an expert Java log template extractor. Please extract all log templates by given the source code and static analysis report.
 
@@ -41,34 +39,15 @@ Now process the following input:
 """
 
 
-def _pieces(instructions: str) -> tuple[str, ...]:
-    """The text before, between and after the code and report slots."""
-    head, rest = instructions.split("{java_code}")
-    return (head, *rest.split("{static_analysis_report}"))
+# the text before, between and after the code and report slots
+_HEAD, _REST = PROMPT_TEMPLATE.split("{java_code}")
+_REPORT_MARKER, _TAIL = _REST.split("{static_analysis_report}")
 
 
-_HEAD, _REPORT_MARKER, _ = _pieces(PROMPT_TEMPLATE)
-
-
-@dataclass(frozen=True)
-class PromptBundle:
-    system_instructions: str
-    java_code: str
-    static_analysis_report: str
-
-    def render(self) -> str:
-        """The full prompt text sent to the gateway."""
-        head, between, tail = _pieces(self.system_instructions)
-        return head + self.java_code + between + self.static_analysis_report + tail
-
-
-def build_prompt(java_code: str, static_analysis_report: str) -> PromptBundle:
-    """Embed source text and the rendered report into the fixed instructions."""
-    return PromptBundle(
-        system_instructions=PROMPT_TEMPLATE,
-        java_code=java_code,
-        static_analysis_report=static_analysis_report,
-    )
+def build_prompt(java_code: str, static_analysis_report: str) -> str:
+    """The prompt text: the fixed instructions with the source text and the
+    rendered report in their slots."""
+    return _HEAD + java_code + _REPORT_MARKER + static_analysis_report + _TAIL
 
 
 def java_code_slot(prompt: str) -> str:

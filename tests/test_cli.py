@@ -164,6 +164,27 @@ def test_comments_leave_the_repository_unchanged(tmp_path, capsys, comment, plac
     assert repos[0] and repos[1] == repos[0]
 
 
+def test_mock_answers_only_for_the_file_its_prompt_is_for(tmp_path, capsys):
+    # Main's prompt holds Aux, which its path steps into, but not C, which only
+    # Aux.work's log call reaches; Aux's log call is answered from Aux's prompt
+    project = tmp_path / "project"
+    project.mkdir()
+    sources = {
+        "Main": 'public class Main {\n  public void run() {\n'
+                '    log.info("start " + Aux.tag());\n  }\n}\n',
+        "Aux": 'public class Aux {\n  public static String tag() {\n    return "aux";\n  }\n\n'
+               '  public void work() {\n    log.warn("work " + C.name());\n  }\n}\n',
+        "C": 'public class C {\n  public static String name() {\n    return "cee";\n  }\n}\n',
+    }
+    for name, body in sources.items():
+        (project / f"{name}.java").write_text(f"package demo;\n\n{body}", encoding="utf-8")
+    out = tmp_path / "repo.jsonl"
+    assert main(["extract", str(project), "--out", str(out)]) == EXIT_OK
+    assert "2 log calls, 2 paths, 2 accepted, 0 rejected, 2 templates" in (
+        capsys.readouterr().out)
+    assert sorted(t.body.render() for t in load_repository(out)) == ["start aux", "work cee"]
+
+
 def test_report_marker_in_a_log_literal_keeps_the_file(tmp_path, capsys):
     # the report writes the literal escaped, so the marker's line break stays
     # "\n" there and the mock's code slot still ends at the real marker
@@ -434,6 +455,56 @@ def test_parse_reads_a_real_pipe(tmp_path, capsys):
     assert piped.read_bytes() == from_file.read_bytes()
     records = [json.loads(line) for line in piped.read_text(encoding="utf-8").splitlines()]
     assert records[1]["line"] == "user \ufffd logged in" and records[1]["matched"]
+
+
+_LINE_BREAKERS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("source", ["file", "stdin bytes", "stdin text"])
+@pytest.mark.parametrize("breaker", _LINE_BREAKERS)
+def test_parse_ends_a_line_only_at_a_line_end(tmp_path, monkeypatch, capsys, source,
+                                              breaker):
+    # "\n", "\r\n" and "\r" end a line, as in eval's template files; the other
+    # breaks str.splitlines knows are text inside the line
+    repo = _three_template_repo(tmp_path)
+    out = tmp_path / "out.jsonl"
+    text = (f"user a{breaker}b logged in\r\nuser c{breaker}d logged in\r"
+            f"request {breaker} served\n")
+    if source == "file":
+        log = tmp_path / "app.log"
+        log.write_bytes(text.encode("utf-8"))
+        argv = ["parse", str(repo), str(log), "--out", str(out)]
+    else:
+        stdin = (io.TextIOWrapper(io.BytesIO(text.encode("utf-8"))) if source == "stdin bytes"
+                 else io.StringIO(text, newline="\n"))
+        monkeypatch.setattr("sys.stdin", stdin)
+        argv = ["parse", str(repo), "-", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    assert "3 lines: 3 matched, 0 routed" in capsys.readouterr().out
+    records = [json.loads(line) for line in out.read_text(encoding="utf-8").split("\n")[:-1]]
+    assert [r["captures"] for r in records] == [[f"a{breaker}b"], [f"c{breaker}d"], [breaker]]
+
+
+@pytest.mark.parametrize("breaker", _LINE_BREAKERS)
+def test_eval_log_file_ends_a_line_only_at_a_line_end(tmp_path, monkeypatch, capsys,
+                                                      breaker):
+    counted = []
+    run_stream = evaluation.run_stream
+
+    def recording_run_stream(repo, lines, tree=None, header_pattern=None):
+        results, counts = run_stream(repo, lines, tree, header_pattern)
+        counted.append((counts.total, counts.matched))
+        return results, counts
+
+    monkeypatch.setattr(evaluation, "run_stream", recording_run_stream)
+    templates = tmp_path / "templates.txt"
+    templates.write_text("user <.*> logged in\n", encoding="utf-8")
+    log = tmp_path / "app.log"
+    log.write_bytes(f"user a{breaker}b logged in\ruser c{breaker}d logged in\r\n"
+                    .encode("utf-8"))
+    assert main(["eval", str(templates), str(templates), "--log-file", str(log),
+                 "--repetitions", "1"]) == EXIT_OK
+    assert counted == [(2, 2)]
 
 
 def test_parse_out_matches_golden_bytes(tmp_path, capsys):

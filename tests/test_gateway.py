@@ -50,7 +50,7 @@ def test_make_gateway_dispatch():
 
 
 def test_mock_extracts_one_record_per_path():
-    response = MockGateway().send(_example_prompt().render())
+    response = MockGateway().send(_example_prompt())
     records = parse_response(response)
     assert [(r.template, r.level) for r in records] == [
         ("User_<.*>_NotFound", "error"),
@@ -66,13 +66,13 @@ def test_mock_reads_every_file_past_its_comments():
     marker = "/*\n- static_analysis_report: see docs\n*/\n"
     java_code = (header + (EXAMPLE_PROJECT / "Foo.java").read_text()
                  + header + marker + (EXAMPLE_PROJECT / "Bar.java").read_text())
-    prompt = build_prompt(java_code, "Extracted 2 log calls\n").render()
-    assert MockGateway().send(prompt) == MockGateway().send(_example_prompt().render())
+    prompt = build_prompt(java_code, "Extracted 2 log calls\n")
+    assert MockGateway().send(prompt) == MockGateway().send(_example_prompt())
 
 
 @pytest.mark.parametrize("prompt", [
     "not a prompt",
-    build_prompt("package p;\nclass X {\n", "Extracted 0 log calls\n").render(),
+    build_prompt("package p;\nclass X {\n", "Extracted 0 log calls\n"),
 ])
 def test_mock_fails_a_prompt_it_cannot_read(prompt):
     with pytest.raises(GatewayUnavailable, match="mock could not parse the prompt's code"):
@@ -80,7 +80,7 @@ def test_mock_fails_a_prompt_it_cannot_read(prompt):
 
 
 def test_mock_is_deterministic():
-    prompt = _example_prompt().render()
+    prompt = _example_prompt()
     gateway = MockGateway()
     assert gateway.send(prompt) == gateway.send(prompt)
 
@@ -106,14 +106,14 @@ class _FlakyGateway:
         return self.response
 
 
-def _bundle():
+def _prompt():
     return build_prompt("package p;\nclass X {}\n", "Extracted 0 log calls\n")
 
 
 def test_invoke_retries_transport_errors():
     gateway = _FlakyGateway(failures=2)
     config = GatewayConfig(max_retries=2)
-    assert invoke_gateway(_bundle(), config, gateway) == GOOD_RESPONSE
+    assert invoke_gateway(_prompt(), config, gateway) == GOOD_RESPONSE
     assert gateway.calls == 3
 
 
@@ -127,14 +127,14 @@ def test_invoke_retries_malformed_output():
             return "no array yet" if self.calls == 1 else GOOD_RESPONSE
 
     gateway = Garbled()
-    assert invoke_gateway(_bundle(), GatewayConfig(max_retries=1), gateway) == GOOD_RESPONSE
+    assert invoke_gateway(_prompt(), GatewayConfig(max_retries=1), gateway) == GOOD_RESPONSE
     assert gateway.calls == 2
 
 
 def test_invoke_exhausts_retries():
     gateway = _FlakyGateway(failures=10)
     with pytest.raises(RetriesExhausted) as error:
-        invoke_gateway(_bundle(), GatewayConfig(max_retries=2), gateway)
+        invoke_gateway(_prompt(), GatewayConfig(max_retries=2), gateway)
     assert error.value.attempts == 3
     assert isinstance(error.value.last_error, GatewayUnavailable)
     assert gateway.calls == 3
@@ -143,7 +143,7 @@ def test_invoke_exhausts_retries():
 def test_invoke_zero_retries_means_one_attempt():
     gateway = _FlakyGateway(failures=1)
     with pytest.raises(RetriesExhausted) as error:
-        invoke_gateway(_bundle(), GatewayConfig(max_retries=0), gateway)
+        invoke_gateway(_prompt(), GatewayConfig(max_retries=0), gateway)
     assert error.value.attempts == 1
 
 
@@ -168,9 +168,9 @@ def test_unit_without_log_calls_makes_no_gateway_call():
     gateway = _FlakyGateway(failures=0)
     bar, foo = extract_project(files, gateway).units
     assert gateway.calls == 1
-    assert bar.enumerations == [] and bar.prompt is None and bar.raw_response is None
+    assert bar.enumerations == [] and bar.accepted == [] and bar.error is None
     assert bar.report_text.startswith("Extracted 0 log calls")
-    assert foo.raw_response == GOOD_RESPONSE
+    assert foo.accepted == [] and [r.template for r in foo.rejected] == ["x_<.*>"]
 
 
 class _FakeResponse:
@@ -244,3 +244,25 @@ def test_http_gateway_error_mapping(monkeypatch):
                         lambda *a, **k: _FakeResponse(payload={"unexpected": True}))
     with pytest.raises(GatewayUnavailable):
         HttpGateway(config).send("p")
+
+
+@pytest.mark.parametrize("content", [None, [{"type": "text", "text": GOOD_RESPONSE}]])
+def test_http_reply_without_string_content_fails_its_unit(monkeypatch, content):
+    posts = []
+
+    def fake_post(*args, **kwargs):
+        posts.append(args)
+        return _FakeResponse(payload={"choices": [{"message": {"content": content}}]})
+
+    monkeypatch.setattr(requests, "post", fake_post)
+    config = GatewayConfig(endpoint="https://api.test/v1", max_retries=1)
+    with pytest.raises(GatewayUnavailable, match="unexpected response shape"):
+        HttpGateway(config).send("p")
+    units, texts = parse_project(EXAMPLE_PROJECT)
+    files = [ProjectFile(unit=unit, text=texts[unit.fqn]) for unit in units]
+    posts.clear()
+    result = extract_project(files, HttpGateway(config), gateway_config=config)
+    (failed,) = result.failed_units
+    assert failed.unit.class_name == "Foo"
+    assert "gave up after 2 attempts: unexpected response shape" in failed.error
+    assert len(posts) == 2 and result.templates == []

@@ -10,7 +10,7 @@ REPORT = "Extracted 1 log calls\n\nA total of 1 log calls, with 1 complete paths
 
 
 def test_slots_filled_in_order():
-    rendered = build_prompt(CODE, REPORT).render()
+    rendered = build_prompt(CODE, REPORT)
     assert rendered.startswith("You are an expert Java log template extractor.")
     assert f"- java_code: {CODE}" in rendered
     assert f"- static_analysis_report:\n{REPORT}" in rendered
@@ -22,27 +22,20 @@ def test_slots_filled_in_order():
 def test_instruction_braces_survive():
     # the instructions themselves talk about {} placeholders and show a JSON
     # shape in braces; slot substitution must not touch either
-    rendered = build_prompt(CODE, REPORT).render()
+    rendered = build_prompt(CODE, REPORT)
     assert "All {} placeholders in the original log statement" in rendered
     assert '{"method": class_path.method_name, "template": constructed_template, "level": log_level}' in rendered
 
 
-def test_render_is_byte_stable():
-    bundle = build_prompt(CODE, REPORT)
-    assert bundle.render() == bundle.render()
-    assert build_prompt(CODE, REPORT).render() == bundle.render()
-
-
-def test_bundle_keeps_inputs_verbatim():
-    bundle = build_prompt(CODE, REPORT)
-    assert bundle.system_instructions == PROMPT_TEMPLATE
-    assert bundle.java_code == CODE
-    assert bundle.static_analysis_report == REPORT
+def test_prompt_keeps_inputs_verbatim():
+    # neither input holds a slot name, so filling the slots by name is a reference
+    assert build_prompt(CODE, REPORT) == (PROMPT_TEMPLATE.replace("{java_code}", CODE)
+                                          .replace("{static_analysis_report}", REPORT))
 
 
 def test_code_containing_wildcard_tokens_is_preserved():
     tricky = 'package p;\nclass X {\n  void f() { log.warn("a <.*> {} b"); }\n}\n'
-    rendered = build_prompt(tricky, REPORT).render()
+    rendered = build_prompt(tricky, REPORT)
     assert 'log.warn("a <.*> {} b")' in rendered
 
 
@@ -54,7 +47,7 @@ def test_code_containing_wildcard_tokens_is_preserved():
     'package p;\nclass X {\n  void f() { log.error("{static_analysis_report}"); }\n}\n',
 ])
 def test_code_slot_reads_back_what_was_written(code):
-    rendered = build_prompt(code, REPORT).render()
+    rendered = build_prompt(code, REPORT)
     assert rendered.endswith(f"- static_analysis_report:\n{REPORT}\n")
     assert java_code_slot(rendered) == code
 
@@ -62,7 +55,7 @@ def test_code_slot_reads_back_what_was_written(code):
 @pytest.mark.parametrize("prompt", [
     "",
     "- java_code: " + CODE + "\n- static_analysis_report:\n" + REPORT,
-    build_prompt(CODE, REPORT).render().replace("- static_analysis_report:", "- report:"),
+    build_prompt(CODE, REPORT).replace("- static_analysis_report:", "- report:"),
 ])
 def test_code_slot_of_another_text_is_an_error(prompt):
     with pytest.raises(ValueError, match="not an extraction prompt"):

@@ -49,9 +49,9 @@ def test_zero_call_report():
 def test_literal_template_line():
     report = _report_for(
         'package p;\nclass X {\n  void f(String a) { log.warn("disk {} full", a); }\n}\n')
-    entry = report.entries[0]
-    assert entry.initial_template == "disk {} full"
-    assert entry.level == "warn"
+    call = report.to_dict()["calls"][0]
+    assert call["initial_template"] == "disk {} full"
+    assert call["level"] == "warn"
     rendered = render_report(report)
     assert "Template: disk {} full\n" in rendered
     assert UNDEFINED_TEMPLATE not in rendered
