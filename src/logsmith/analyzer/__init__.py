@@ -18,7 +18,6 @@ from .paths import (
     PathBudget,
     PathEnumeration,
     PathStep,
-    RecursionCycle,
     analyze_project,
     enumerate_paths,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "PathBudget",
     "PathEnumeration",
     "PathStep",
-    "RecursionCycle",
     "ResolvedTarget",
     "Return",
     "SourceSyntaxError",

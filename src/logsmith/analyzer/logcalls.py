@@ -32,12 +32,8 @@ class LogCallSite:
         return None
 
     @property
-    def enclosing_method(self) -> str:
-        return self.method.name
-
-    @property
     def method_fqn(self) -> str:
-        return f"{self.unit.fqn}.{self.enclosing_method}"
+        return f"{self.unit.fqn}.{self.method.name}"
 
 
 def is_logger_call(expr) -> bool:

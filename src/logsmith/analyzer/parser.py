@@ -191,7 +191,6 @@ class _Parser:
         return tuple(mods)
 
     def parse_method(self) -> MethodDecl:
-        start = self.tokens[self.pos][2]
         mods = self.parse_modifiers()
         return_type = self.parse_type()
         name = self.expect("ident", "method name")[1]
@@ -213,11 +212,9 @@ class _Parser:
         return MethodDecl(
             name=name,
             params=tuple(params),
-            is_static="static" in mods,
             body=body,
             return_type=return_type,
             modifiers=mods,
-            line=start,
         )
 
     def parse_type(self) -> str:
@@ -233,27 +230,27 @@ class _Parser:
         return tuple(stmts)
 
     def parse_stmt(self):
-        kind, value, line = self.tokens[self.pos]
+        kind, value, _ = self.tokens[self.pos]
         if kind == "if":
             return self.parse_if()
         if kind == "return":
             self.pos += 1
             if self.tokens[self.pos][0] == ";":
                 self.pos += 1
-                return Return(None, line=line)
+                return Return(None)
             result = self.parse_expr()
             self.expect(";")
-            return Return(result, line=line)
+            return Return(result)
         if kind in _KEYWORDS:
             raise self.error(f"unsupported statement {value!r}")
         expr = self.parse_expr()
         self.expect(";")
-        return ExprStmt(expr, line=line)
+        return ExprStmt(expr)
 
     def parse_if(self) -> If:
         outer = self.depth
         self.nest()
-        start = self.expect("if")[2]
+        self.expect("if")
         self.expect("(")
         cond = self.parse_expr()
         self.expect(")")
@@ -266,7 +263,7 @@ class _Parser:
             else:
                 else_body = self.parse_branch_body()
         self.depth = outer
-        return If(cond, then_body, else_body, line=start)
+        return If(cond, then_body, else_body)
 
     def parse_branch_body(self) -> tuple:
         if self.at("{"):
@@ -279,10 +276,9 @@ class _Parser:
         expr = self.parse_postfix()
         tokens = self.tokens
         while tokens[self.pos][0] == "+":
-            line = tokens[self.pos][2]
             self.pos += 1
             self.nest()
-            expr = Concat(expr, self.parse_postfix(), line=line)
+            expr = Concat(expr, self.parse_postfix())
         self.depth = outer
         return expr
 
@@ -304,13 +300,13 @@ class _Parser:
         kind, value, line = tokens[self.pos]
         if kind == "string":
             self.pos += 1
-            return StrLit(value, line=line)
+            return StrLit(value)
         if kind == "ident":
             self.pos += 1
             if tokens[self.pos][0] == "(":
                 self.pos += 1
                 return Call(None, value, self.parse_args(), line=line)
-            return Ident(value, line=line)
+            return Ident(value)
         if kind == "(":
             self.pos += 1
             expr = self.parse_expr()

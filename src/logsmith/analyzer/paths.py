@@ -68,13 +68,6 @@ class PathBudget:
 
 
 @dataclass(frozen=True)
-class RecursionCycle:
-    """A detected call cycle, as the chain of method names that closed it."""
-
-    chain: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class PathStep:
     class_fqn: str
     call_code: str
@@ -95,7 +88,8 @@ class PathEnumeration:
     site: LogCallSite
     paths: list[CallPath]
     truncated: bool = False
-    cycles: tuple[RecursionCycle, ...] = ()
+    # each detected call cycle, as the chain of method names that closed it
+    cycles: tuple[tuple[str, ...], ...] = ()
     involves_conditional: bool = False
     involves_external_call: bool = False
     placeholder_mismatch: bool = False
@@ -172,7 +166,7 @@ class _Tracer:
         self.truncated = False
         self.conditional = False
         self.external = False
-        self.cycles: list[RecursionCycle] = []
+        self.cycles: list[tuple[str, ...]] = []
 
     def expr(self, expr, unit: SourceUnit, method: MethodDecl,
              stack: tuple) -> Iterator[_Alt]:
@@ -210,7 +204,7 @@ class _Tracer:
         )
         if key in stack:
             chain = stack[stack.index(key):] + (key,)
-            cycle = RecursionCycle(tuple(f"{fqn}.{name}" for fqn, name, _ in chain))
+            cycle = tuple(f"{fqn}.{name}" for fqn, name, _ in chain)
             if cycle not in self.cycles:
                 self.cycles.append(cycle)
             yield ((WILD,), ())

@@ -59,7 +59,7 @@ def _call_dict(enum: PathEnumeration) -> dict:
             "involves_external_call": enum.involves_external_call,
             "placeholder_mismatch": enum.placeholder_mismatch,
             "truncated": enum.truncated,
-            "cycles": [list(cycle.chain) for cycle in enum.cycles],
+            "cycles": [list(cycle) for cycle in enum.cycles],
         },
         "paths": [
             {

@@ -17,20 +17,17 @@ from dataclasses import dataclass
 @dataclass(frozen=True)
 class StrLit:
     text: str
-    line: int = 0
 
 
 @dataclass(frozen=True)
 class Ident:
     name: str
-    line: int = 0
 
 
 @dataclass(frozen=True)
 class Concat:
     left: "Expr"
     right: "Expr"
-    line: int = 0
 
 
 @dataclass(frozen=True)
@@ -53,19 +50,16 @@ class If:
     cond: "Expr"
     then_body: tuple["Stmt", ...]
     else_body: tuple["Stmt", ...]
-    line: int = 0
 
 
 @dataclass(frozen=True)
 class Return:
     value: "Expr | None"
-    line: int = 0
 
 
 @dataclass(frozen=True)
 class ExprStmt:
     expr: "Expr"
-    line: int = 0
 
 
 Stmt = If | Return | ExprStmt
@@ -75,11 +69,9 @@ Stmt = If | Return | ExprStmt
 class MethodDecl:
     name: str
     params: tuple[tuple[str, str], ...]  # (name, declared type)
-    is_static: bool
     body: tuple["Stmt", ...]
     return_type: str = "void"
     modifiers: tuple[str, ...] = ()
-    line: int = 0
 
     def param_type(self, name: str) -> str | None:
         for pname, ptype in self.params:

@@ -38,7 +38,7 @@ CLUSTER_WILDCARD = "<*>"
 
 
 class EmptyMessage(Exception):
-    """Raised for all-whitespace input; the message is dropped and counted."""
+    """Raised for all-whitespace input, which forms no cluster."""
 
 
 @dataclass
@@ -154,7 +154,6 @@ class ClusterTree:
         self.sim_threshold = sim_threshold
         self.max_children = max_children
         self.root: dict[int, _Node] = {}
-        self.dropped = 0
         self._clusters: list[Cluster] = []
         self._next_id = 1
 
@@ -162,7 +161,6 @@ class ClusterTree:
         """Cluster one message; returns (cluster_id, current template string)."""
         tokens = message.split()
         if not tokens:
-            self.dropped += 1
             raise EmptyMessage("all-whitespace message")
 
         node = self.root.get(len(tokens))

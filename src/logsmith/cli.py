@@ -286,14 +286,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
         print(f"online parsing time: {report.timing:.4f}s "
               f"(averaged over {args.repetitions} runs)")
     if args.out:
-        payload = {
-            "precision": report.precision,
-            "recall": report.recall,
-            "f1": report.f1,
-            "matched_pairs": report.matched_pairs,
-            "timing": report.timing,
-        }
-        Path(args.out).write_text(json.dumps(payload, indent=2) + "\n",
+        # the report's own fields, in order; asdict would deep-copy every
+        # matched pair, which takes about half as long as scoring them
+        Path(args.out).write_text(json.dumps(vars(report), indent=2) + "\n",
                                   encoding="utf-8")
     return EXIT_OK
 

@@ -24,11 +24,6 @@ class GroundTruthError(Exception):
     """A ground-truth file line that is not a normalized template."""
 
 
-@dataclass(frozen=True)
-class GroundTruth:
-    templates: tuple[TemplateBody, ...]
-
-
 @dataclass
 class EvalReport:
     precision: float
@@ -61,7 +56,7 @@ def templates_equal(a: TemplateBody, b: TemplateBody) -> bool:
     return canonical(a) == canonical(b)
 
 
-def load_ground_truth(path: str | Path) -> GroundTruth:
+def load_ground_truth(path: str | Path) -> tuple[TemplateBody, ...]:
     """The templates of :func:`template_lines`; each must already be normalized
     (its parse renders back to the identical string), else GroundTruthError
     names its line."""
@@ -71,7 +66,7 @@ def load_ground_truth(path: str | Path) -> GroundTruth:
         if body.render() != line:
             raise GroundTruthError(f"line {number}: not a normalized template: {line!r}")
         bodies.append(body)
-    return GroundTruth(templates=tuple(bodies))
+    return tuple(bodies)
 
 
 def template_lines(path: str | Path) -> Iterator[tuple[int, str]]:
@@ -84,7 +79,7 @@ def template_lines(path: str | Path) -> Iterator[tuple[int, str]]:
                 yield number, line
 
 
-def score(parsed: list[TemplateBody], truth: GroundTruth) -> EvalReport:
+def score(parsed: list[TemplateBody], truth: tuple[TemplateBody, ...]) -> EvalReport:
     """Greedy one-to-one matching of parsed templates against ground truth.
 
     recall = matched / |truth|, precision = matched / |parsed|; an empty
@@ -93,7 +88,7 @@ def score(parsed: list[TemplateBody], truth: GroundTruth) -> EvalReport:
     takes the lowest-indexed unpaired truth template equal to it.
     """
     waiting: dict[TemplateBody, deque[int]] = defaultdict(deque)
-    for truth_index, body in enumerate(truth.templates):
+    for truth_index, body in enumerate(truth):
         waiting[canonical(body)].append(truth_index)
     pairs: list[tuple[int, int]] = []
     for parsed_index, body in enumerate(parsed):
@@ -102,7 +97,7 @@ def score(parsed: list[TemplateBody], truth: GroundTruth) -> EvalReport:
             pairs.append((parsed_index, queue.popleft()))
     matched = len(pairs)
     precision = matched / len(parsed) if parsed else 0.0
-    recall = matched / len(truth.templates) if truth.templates else 0.0
+    recall = matched / len(truth) if truth else 0.0
     f1 = (2 * precision * recall / (precision + recall)
           if precision + recall > 0 else 0.0)
     return EvalReport(precision=precision, recall=recall, f1=f1,

@@ -128,7 +128,6 @@ class CompiledRepository:
     """
 
     entries: tuple[CompiledEntry, ...]
-    allow_empty_inner: bool = False
     leading: ConstantIndex = ConstantIndex()
     trailing: ConstantIndex = ConstantIndex()
     floating: tuple[CompiledEntry, ...] = ()
@@ -181,7 +180,7 @@ def compile_repository(templates: list[Template],
                     for position, (_, template) in enumerate(ordered))
     floating = tuple(e for e in entries if not e.prefix and not e.suffix)
     return CompiledRepository(
-        entries=entries, allow_empty_inner=allow_empty_inner,
+        entries=entries,
         leading=ConstantIndex.build(
             (e for e in entries if e.prefix), lambda e: e.prefix),
         trailing=ConstantIndex.build(

@@ -30,9 +30,6 @@ class Wildcard:
 
 WILD = Wildcard()
 
-# A segment is either constant text (str) or a Wildcard.
-Segment = str | Wildcard
-
 
 @dataclass(frozen=True)
 class TemplateBody:

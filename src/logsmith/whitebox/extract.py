@@ -3,8 +3,9 @@
 A unit with no logging calls short-circuits before any gateway traffic.
 For the rest, the prompt carries the unit's source plus the source of
 every project class its call paths actually enter, alongside the rendered
-static-analysis report. Gateway failures are recorded per unit and leave
-that unit's logs to the black-box path; they never abort the project run.
+static-analysis report. Gateway failures, of the extraction call or of a
+verifier call, are recorded per unit and leave that unit's logs to the
+black-box path; they never abort the project run.
 """
 
 from __future__ import annotations
@@ -72,10 +73,10 @@ def extract_unit(entry: ProjectFile, project: dict[str, ProjectFile],
     prompt = build_prompt(_java_code(entry, project, enumerations), report_text)
     try:
         reply = invoke_gateway(prompt, gateway_config, gateway)
-    except GatewayError as exc:
+        result.accepted, result.rejected = post_process(parse_response(reply), policy,
+                                                        gateway)
+    except GatewayError as exc:  # the extraction call or a verifier call failed
         result.error = str(exc)
-        return result
-    result.accepted, result.rejected = post_process(parse_response(reply), policy, gateway)
     return result
 
 

@@ -17,7 +17,9 @@ from ..analyzer import (
     DEFAULT_BUILTIN_METHODS,
     PathBudget,
     SourceSyntaxError,
-    analyze_project,
+    build_call_graph,
+    enumerate_paths,
+    find_log_calls,
     parse_sources,
 )
 from ..templates import TemplateBody
@@ -147,11 +149,13 @@ class MockGateway:
             units = parse_sources(java_code_slot(prompt), path="<prompt>")
         except (ValueError, SourceSyntaxError) as exc:
             raise GatewayUnavailable(f"mock could not parse the prompt's code: {exc}") from exc
-        analyses = analyze_project(units, self.budget, self.builtin_methods)[:1]
+        graph = build_call_graph(units)
         return render_records([
-            ExtractedTemplate(method=e.site.method_fqn, template=path.yielded.render(),
-                              level=e.site.level)
-            for enumerations in analyses for e in enumerations for path in e.paths])
+            ExtractedTemplate(method=site.method_fqn, template=path.yielded.render(),
+                              level=site.level)
+            for site in find_log_calls(units[0])
+            for path in enumerate_paths(site, graph, self.budget,
+                                        self.builtin_methods).paths])
 
 
 def make_gateway(config: GatewayConfig, budget: PathBudget = PathBudget(),

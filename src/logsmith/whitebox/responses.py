@@ -70,9 +70,10 @@ def parse_response(text: str) -> list[ExtractedTemplate]:
 
 
 def render_records(records: list[ExtractedTemplate]) -> str:
-    """Serialize records back to the response wire format."""
+    """Serialize records back to the response wire format, on one line: without
+    ``indent``, ``json`` encodes with its C encoder."""
     payload = [
         {"method": r.method, "template": r.template, "level": r.level}
         for r in records
     ]
-    return json.dumps(payload, indent=2)
+    return json.dumps(payload)

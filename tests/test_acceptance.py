@@ -24,7 +24,7 @@ from logsmith.analyzer import (
     render_report,
 )
 from logsmith.blackbox import CLUSTER_WILDCARD, ClusterTree
-from logsmith.evaluation import GroundTruth, score
+from logsmith.evaluation import score
 from logsmith.matcher import compile_repository, run_stream
 from logsmith.templates import Template, TemplateBody
 from logsmith.whitebox import (
@@ -145,7 +145,7 @@ def test_criterion_4_evaluator_arithmetic(capsys):
         assert len(corpora) >= 10
         for parsed, truth, precision, recall, f1 in corpora:
             report = score([TemplateBody.parse(t) for t in parsed],
-                           GroundTruth(tuple(TemplateBody.parse(t) for t in truth)))
+                           tuple(TemplateBody.parse(t) for t in truth))
             case = f"{parsed} vs {truth}"
             assert abs(report.precision - precision) <= 1e-9, f"precision off: {case}"
             assert abs(report.recall - recall) <= 1e-9, f"recall off: {case}"

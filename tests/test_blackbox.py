@@ -84,13 +84,12 @@ def test_catch_all_excluded_from_child_budget():
     assert set(top.children) == {CLUSTER_WILDCARD, "free"}
 
 
-def test_empty_message_dropped_and_counted():
+def test_empty_message_raises_and_forms_no_cluster():
     tree = ClusterTree()
     with pytest.raises(EmptyMessage):
         tree.ingest("   ")
     with pytest.raises(EmptyMessage):
         tree.ingest("")
-    assert tree.dropped == 2
     assert tree.clusters == []
 
 
@@ -170,7 +169,6 @@ def test_streaming_properties_hold_on_random_input():
     # cluster ids are unique and dense
     ids = [c.cluster_id for c in tree.clusters]
     assert ids == sorted(ids) and len(set(ids)) == len(ids)
-    assert tree.dropped == 0
 
 
 def test_wildcard_monotonicity_on_random_input():

@@ -105,7 +105,7 @@ def test_empty_project_graph():
 def test_find_log_calls_example(example_units):
     foo = next(u for u in example_units if u.class_name == "Foo")
     sites = find_log_calls(foo)
-    assert [(s.line, s.level, s.enclosing_method) for s in sites] == [
+    assert [(s.line, s.level, s.method.name) for s in sites] == [
         (8, "error", "logSomething"),
         (10, "fatal", "logSomething"),
     ]

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logsmith import evaluation
+from logsmith.analyzer import paths
 from logsmith.analyzer.parser import MAX_NESTING
 from logsmith.analyzer.paths import MAX_CALL_DEPTH
 from logsmith.cli import (
@@ -25,6 +26,8 @@ from logsmith.cli import (
 from logsmith.config import load_config
 from logsmith.matcher import MatchResult
 from logsmith.templates import load_repository
+from logsmith.whitebox import GatewayUnavailable, MockGateway, extract, gateway
+from logsmith.whitebox.gateway import VERIFIER_PREFIX
 
 from conftest import EXAMPLE_PROJECT, FIXTURES, GOLDEN_REPORT
 from generator import generate_project
@@ -164,25 +167,71 @@ def test_comments_leave_the_repository_unchanged(tmp_path, capsys, comment, plac
     assert repos[0] and repos[1] == repos[0]
 
 
+# Main's prompt holds Aux, which its path steps into, but not C, which only
+# Aux.work's log call reaches; Aux's log call is answered from Aux's prompt
+_MAIN_AUX_C = {
+    "Main": 'public class Main {\n  public void run() {\n'
+            '    log.info("start " + Aux.tag());\n  }\n}\n',
+    "Aux": 'public class Aux {\n  public static String tag() {\n    return "aux";\n  }\n\n'
+           '  public void work() {\n    log.warn("work " + C.name());\n  }\n}\n',
+    "C": 'public class C {\n  public static String name() {\n    return "cee";\n  }\n}\n',
+}
+
+
 def test_mock_answers_only_for_the_file_its_prompt_is_for(tmp_path, capsys):
-    # Main's prompt holds Aux, which its path steps into, but not C, which only
-    # Aux.work's log call reaches; Aux's log call is answered from Aux's prompt
     project = tmp_path / "project"
     project.mkdir()
-    sources = {
-        "Main": 'public class Main {\n  public void run() {\n'
-                '    log.info("start " + Aux.tag());\n  }\n}\n',
-        "Aux": 'public class Aux {\n  public static String tag() {\n    return "aux";\n  }\n\n'
-               '  public void work() {\n    log.warn("work " + C.name());\n  }\n}\n',
-        "C": 'public class C {\n  public static String name() {\n    return "cee";\n  }\n}\n',
-    }
-    for name, body in sources.items():
+    for name, body in _MAIN_AUX_C.items():
         (project / f"{name}.java").write_text(f"package demo;\n\n{body}", encoding="utf-8")
     out = tmp_path / "repo.jsonl"
     assert main(["extract", str(project), "--out", str(out)]) == EXIT_OK
     assert "2 log calls, 2 paths, 2 accepted, 0 rejected, 2 templates" in (
         capsys.readouterr().out)
     assert sorted(t.body.render() for t in load_repository(out)) == ["start aux", "work cee"]
+
+
+def test_mock_enumerates_only_the_log_calls_of_its_own_file(tmp_path, monkeypatch):
+    # each log call is enumerated twice: by the analysis and by the mock
+    # answering its own file's prompt, never by a prompt that only carries it
+    enumerated = []
+    real = paths.enumerate_paths
+
+    def counting(site, *args):
+        enumerated.append(site.method_fqn)
+        return real(site, *args)
+
+    monkeypatch.setattr(paths, "enumerate_paths", counting)
+    monkeypatch.setattr(gateway, "enumerate_paths", counting)
+    project = tmp_path / "project"
+    project.mkdir()
+    for name, body in _MAIN_AUX_C.items():
+        (project / f"{name}.java").write_text(f"package demo;\n\n{body}", encoding="utf-8")
+    assert main(["extract", str(project), "--out", str(tmp_path / "repo.jsonl")]) == EXIT_OK
+    assert sorted(enumerated) == ["demo.Aux.work"] * 2 + ["demo.Main.run"] * 2
+
+
+class _VerifierDown(MockGateway):
+    """The mock, except that verifier calls about a "down" template fail."""
+
+    def send(self, prompt: str) -> str:
+        if prompt.startswith(VERIFIER_PREFIX) and "down" in prompt:
+            raise GatewayUnavailable("verifier unreachable")
+        return super().send(prompt)
+
+
+def test_failed_verifier_call_fails_its_unit_only(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(extract, "make_gateway", lambda *args: _VerifierDown())
+    project = tmp_path / "project"
+    project.mkdir()
+    for name, message in (("A", "up and running"), ("B", "going down now")):
+        (project / f"{name}.java").write_text(
+            f'package p;\nclass {name} {{\n  void f() {{ log.info("{message}"); }}\n}}\n',
+            encoding="utf-8")
+    out = tmp_path / "repo.jsonl"
+    assert main(["extract", str(project), "--out", str(out), "--enable-verifier"]) == EXIT_OK
+    err = capsys.readouterr().err
+    assert f"warning: gateway failed for {project / 'B.java'}: verifier unreachable" in err
+    assert [t.body.render() for t in load_repository(out)] == ["up and running"]
 
 
 def test_report_marker_in_a_log_literal_keeps_the_file(tmp_path, capsys):

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from logsmith.evaluation import (
-    GroundTruth,
     GroundTruthError,
     load_ground_truth,
     score,
@@ -21,8 +20,8 @@ def _bodies(*texts: str) -> list[TemplateBody]:
     return [TemplateBody.parse(t) for t in texts]
 
 
-def _truth(*texts: str) -> GroundTruth:
-    return GroundTruth(templates=tuple(_bodies(*texts)))
+def _truth(*texts: str) -> tuple[TemplateBody, ...]:
+    return tuple(_bodies(*texts))
 
 
 def test_equal_templates():
@@ -143,11 +142,11 @@ def test_matched_pairs_are_one_to_one():
 
 def _nested_loop_pairs(parsed, truth):
     """Reference: each parsed template scans the unpaired truth in order."""
-    unmatched = list(range(len(truth.templates)))
+    unmatched = list(range(len(truth)))
     pairs = []
     for parsed_index, body in enumerate(parsed):
         for position, truth_index in enumerate(unmatched):
-            if templates_equal(body, truth.templates[truth_index]):
+            if templates_equal(body, truth[truth_index]):
                 pairs.append((parsed_index, truth_index))
                 del unmatched[position]
                 break
@@ -166,7 +165,7 @@ def test_score_agrees_with_nested_loop_reference():
         pairs = _nested_loop_pairs(parsed, truth)
         assert report.matched_pairs == pairs
         precision = len(pairs) / len(parsed) if parsed else 0.0
-        recall = len(pairs) / len(truth.templates) if truth.templates else 0.0
+        recall = len(pairs) / len(truth) if truth else 0.0
         assert (report.precision, report.recall) == (precision, recall)
 
 
@@ -174,7 +173,7 @@ def test_load_ground_truth(tmp_path):
     path = tmp_path / "truth.txt"
     path.write_text("connect <.*> failed\n\nqueue empty\n", encoding="utf-8")
     truth = load_ground_truth(path)
-    assert [b.render() for b in truth.templates] == ["connect <.*> failed",
+    assert [b.render() for b in truth] == ["connect <.*> failed",
                                                      "queue empty"]
 
 
@@ -199,7 +198,7 @@ def test_load_ground_truth_keeps_edge_whitespace_stable(tmp_path):
     path = tmp_path / "truth.txt"
     path.write_text("padded line \n", encoding="utf-8")
     truth = load_ground_truth(path)
-    assert truth.templates[0].render() == "padded line "
+    assert truth[0].render() == "padded line "
 
 
 def _timing_repo(count: int = 20):

@@ -1,6 +1,8 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and so
+is every private name (``_x``) it defines at module or class level.
 
-Package ``__init__.py`` files are exempt: their imports are re-exports.
+Package ``__init__.py`` files are exempt from the import check: their imports
+are re-exports.
 """
 
 from __future__ import annotations
@@ -29,6 +31,38 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in bound.items() if name not in used]
 
 
+def unused_private_names(source: str) -> list[str]:
+    """The private names that ``source`` defines at module or class level and
+    that nothing outside their own definition names. Dunder names are exempt."""
+    tree = ast.parse(source)
+    bodies = [tree.body] + [node.body for node in tree.body if isinstance(node, ast.ClassDef)]
+    defined: dict[str, ast.stmt] = {}
+    for node in (node for body in bodies for node in body):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [target.id for target in node.targets if isinstance(target, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                defined[name] = node
+    uses: dict[str, list[ast.AST]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            uses.setdefault(node.id, []).append(node)
+        elif isinstance(node, ast.Attribute):
+            uses.setdefault(node.attr, []).append(node)
+    unused = []
+    for name, definition in defined.items():
+        own = {id(node) for node in ast.walk(definition)}
+        if all(id(node) in own for node in uses.get(name, ())):
+            unused.append(f"line {definition.lineno}: {name}")
+    return unused
+
+
 def test_modules_are_found():
     assert PACKAGE / "cli.py" in MODULES
 
@@ -47,3 +81,21 @@ def test_module_uses_every_name_it_imports(path):
 ])
 def test_unused_imports_reads_the_bound_name(source, unused):
     assert unused_imports(source) == unused
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")),
+                         ids=lambda path: str(path.relative_to(PACKAGE)))
+def test_module_uses_every_private_name_it_defines(path):
+    assert unused_private_names(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("source, unused", [
+    ("_A = 1\n", ["line 1: _A"]),
+    ("_A = 1\nprint(_A)\n", []),
+    ("def _f(n):\n    return _f(n - 1)\n", ["line 1: _f"]),
+    ("class C:\n    def _g(self): ...\n    def h(self):\n        return self._g()\n", []),
+    ("class C:\n    _k: int = 0\n    __slots__ = ()\n", ["line 2: _k"]),
+    ("def f():\n    _local = 1\n", []),
+])
+def test_unused_private_names_reads_module_and_class_level(source, unused):
+    assert unused_private_names(source) == unused

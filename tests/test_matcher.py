@@ -236,11 +236,11 @@ def _repository_and_messages(draw):
     return bodies, messages
 
 
-def _reference(repo, message: str):
+def _reference(repo, message: str, allow_empty_inner: bool):
     """A linear ``compile_body(...).fullmatch`` scan in compile order."""
     for entry in repo.entries:
         hit = compile_body(entry.template.body,
-                           repo.allow_empty_inner).fullmatch(message.strip())
+                           allow_empty_inner).fullmatch(message.strip())
         if hit is not None:
             return entry.template_id, hit.groups()
     return None
@@ -255,7 +255,7 @@ def test_scan_agrees_with_regex_reference(case, allow_empty_inner):
     for message in messages:
         result = match_line(repo, message)
         got = (result.template_id, result.captures) if result.matched else None
-        assert got == _reference(repo, message), (message, bodies)
+        assert got == _reference(repo, message, allow_empty_inner), (message, bodies)
 
 
 @pytest.mark.parametrize("texts, message, allow_empty_inner", [
@@ -278,7 +278,7 @@ def test_scan_corner_cases_agree_with_regex_reference(texts, message,
     repo = _repo(*texts, allow_empty_inner=allow_empty_inner)
     result = match_line(repo, message)
     got = (result.template_id, result.captures) if result.matched else None
-    assert got == _reference(repo, message)
+    assert got == _reference(repo, message, allow_empty_inner)
 
 
 # Two letters, so keys share prefixes and often nearly begin a text.

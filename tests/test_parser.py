@@ -13,6 +13,7 @@ from logsmith.analyzer import (
     SourceSyntaxError,
     StrLit,
     expr_to_source,
+    find_log_calls,
     method_to_source,
     parse_source,
     parse_sources,
@@ -33,7 +34,7 @@ def test_parse_foo_listing():
     assert len(unit.methods) == 1
     method = unit.methods[0]
     assert method.name == "logSomething"
-    assert not method.is_static
+    assert "static" not in method.modifiers
     assert method.params == (("type", "String"),)
     # one if/else holding the two logger calls
     assert len(method.body) == 1
@@ -55,12 +56,10 @@ def test_concat_is_left_associative():
     ret = unit.methods[0].body[0]
     assert isinstance(ret, Return)
     expected = Concat(
-        left=Concat(left=StrLit(text="a", line=4),
+        left=Concat(left=StrLit(text="a"),
                     right=Call(receiver=None, method="f",
-                               args=(Ident(name="x", line=4),), line=4),
-                    line=4),
-        right=StrLit(text="b", line=4),
-        line=4)
+                               args=(Ident(name="x"),), line=4)),
+        right=StrLit(text="b"))
     assert ret.value == expected
 
 
@@ -207,7 +206,8 @@ def test_parse_sources_reads_files_joined_end_to_end(picks):
         assert [method_to_source(m) for m in unit.methods] == [
             method_to_source(m) for m in alone.methods]
         # lines count on through the joined text
-        assert [m.line - offset for m in unit.methods] == [m.line for m in alone.methods]
+        assert [s.line - offset for s in find_log_calls(unit)] == [
+            s.line for s in find_log_calls(alone)]
         offset += text.count("\n")
 
 
