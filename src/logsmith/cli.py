@@ -16,6 +16,7 @@ import sys
 import time
 from contextlib import nullcontext
 from json.encoder import encode_basestring as _quote
+from json.encoder import encode_basestring_ascii as _quote_ascii
 from pathlib import Path
 from typing import Iterator
 
@@ -148,13 +149,16 @@ def cmd_extract(args: argparse.Namespace) -> int:
     save_repository(result.templates, args.out)
     report_dir = Path(args.report_dir) if args.report_dir else Path(f"{args.out}.reports")
     report_dir.mkdir(parents=True, exist_ok=True)
-    for unit_result in result.units:
-        stem = report_dir / unit_result.unit.class_name
-        stem.with_suffix(".report.txt").write_text(unit_result.report_text,
-                                                   encoding="utf-8")
-        stem.with_suffix(".report.json").write_text(
-            json.dumps(unit_result.report.to_dict(), indent=2) + "\n",
-            encoding="utf-8")
+    directory = os.open(report_dir, os.O_RDONLY | os.O_DIRECTORY)
+    try:  # a name opened in the open directory skips a path walk per file
+        for unit_result in result.units:
+            name = unit_result.unit.class_name
+            _write_file(f"{name}.report.txt", unit_result.report_text.encode("utf-8"),
+                        directory)
+            _write_file(f"{name}.report.json",
+                        _json_bytes(unit_result.report.to_dict()), directory)
+    finally:
+        os.close(directory)
 
     calls = sum(len(u.enumerations) for u in result.units)
     paths_found = sum(len(e.paths) for u in result.units for e in u.enumerations)
@@ -165,6 +169,54 @@ def cmd_extract(args: argparse.Namespace) -> int:
           f"{paths_found} paths, {accepted} accepted, {rejected} rejected, "
           f"{len(result.templates)} templates -> {args.out} ({elapsed:.3f}s)")
     return EXIT_OK
+
+
+def _json_text(value, newline: str = "\n") -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, for str-keyed dicts, lists,
+    tuples, str, int, float, bool and None. ``indent`` makes ``json`` fall back
+    to its pure-Python encoder; this one quotes strings with the C function
+    that encoder calls, at about half its cost."""
+    if isinstance(value, str):
+        return _quote_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f"{_quote_ascii(key)}: {_json_text(item, inner)}"
+                 for key, item in value.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_json_text(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    return json.dumps(value)  # a float, or json's TypeError for an unknown type
+
+
+def _json_bytes(value) -> bytes:
+    """A structured report file: ``json.dumps(value, indent=2)`` and a newline."""
+    return (_json_text(value) + "\n").encode("ascii")
+
+
+def _write_file(path, data: bytes, dir_fd: int | None = None) -> None:
+    """Create or truncate ``path`` (relative to ``dir_fd`` if given) and write
+    ``data`` with one open and one close; ``Path.write_text`` makes about twice
+    the system calls."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666, dir_fd=dir_fd)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+    finally:
+        os.close(fd)
 
 
 def _log_lines(source: str) -> Iterator[str]:
@@ -288,8 +340,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.out:
         # the report's own fields, in order; asdict would deep-copy every
         # matched pair, which takes about half as long as scoring them
-        Path(args.out).write_text(json.dumps(vars(report), indent=2) + "\n",
-                                  encoding="utf-8")
+        _write_file(args.out, _json_bytes(vars(report)))
     return EXIT_OK
 
 
@@ -307,12 +358,11 @@ def cmd_report(args: argparse.Namespace) -> int:
     report = build_report(enumerations)
     text = render_report(report)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        _write_file(args.out, text.encode("utf-8"))
     else:
         print(text, end="")
     if args.json:
-        Path(args.json).write_text(json.dumps(report.to_dict(), indent=2) + "\n",
-                                   encoding="utf-8")
+        _write_file(args.json, _json_bytes(report.to_dict()))
     return EXIT_OK
 
 

@@ -17,7 +17,7 @@ from typing import Iterator
 
 from .blackbox import ClusterTree
 from .matcher import CompiledRepository, run_stream
-from .templates import TemplateBody, Wildcard
+from .templates import TemplateBody
 
 
 class GroundTruthError(Exception):
@@ -38,17 +38,16 @@ def canonical(body: TemplateBody) -> TemplateBody:
 
     Equality treats "a <.*> <.*> b" and "a <.*> b" as the same template:
     consecutive wildcard slots separated only by whitespace carry no
-    distinguishable structure.
+    distinguishable structure. Segments alternate, so every constant but
+    the first and last sits between two wildcards; a body with no
+    whitespace-only one there is its own canonical form and is returned.
     """
-    segments = body.segments
-    out: list = []
-    for i, segment in enumerate(segments):
-        if (isinstance(segment, str) and segment.strip() == ""
-                and out and isinstance(out[-1], Wildcard)
-                and i + 1 < len(segments) and isinstance(segments[i + 1], Wildcard)):
-            continue
-        out.append(segment)
-    return TemplateBody.from_segments(out)
+    inner = body.segments[1:-1]
+    if not any(isinstance(segment, str) and segment.isspace() for segment in inner):
+        return body
+    kept = [segment for segment in inner
+            if not (isinstance(segment, str) and segment.isspace())]
+    return TemplateBody.from_segments([body.segments[0], *kept, body.segments[-1]])
 
 
 def templates_equal(a: TemplateBody, b: TemplateBody) -> bool:

@@ -73,8 +73,9 @@ def extract_unit(entry: ProjectFile, project: dict[str, ProjectFile],
     prompt = build_prompt(_java_code(entry, project, enumerations), report_text)
     try:
         reply = invoke_gateway(prompt, gateway_config, gateway)
-        result.accepted, result.rejected = post_process(parse_response(reply), policy,
-                                                        gateway)
+        result.accepted, result.rejected = post_process(
+            parse_response(reply), policy, gateway,
+            attempts=gateway_config.max_retries + 1)
     except GatewayError as exc:  # the extraction call or a verifier call failed
         result.error = str(exc)
     return result

@@ -13,8 +13,10 @@ Preconditions: helpers used in string context return on every branch
 statements inside callees are skipped (the subset has no side effects).
 
 ``compile_body`` is the reference regex of a template, which the matcher's
-constant scan is tested against, and ``result_record`` is the reference
-match-results record, which ``parse --out`` is tested against.
+constant scan is tested against, ``result_record`` is the reference
+match-results record, which ``parse --out`` is tested against, and
+``canonical`` is the reference segment walk that ``evaluation.canonical``
+is tested against.
 """
 
 from __future__ import annotations
@@ -181,6 +183,20 @@ def result_record(result) -> dict:
         record["cluster_id"] = result.cluster_id
         record["cluster_template"] = result.cluster_template
     return record
+
+
+def canonical(body: TemplateBody) -> TemplateBody:
+    """The reference canonical form: drop each whitespace-only constant whose
+    kept predecessor and whose successor are wildcards."""
+    segments = body.segments
+    out: list = []
+    for i, segment in enumerate(segments):
+        if (isinstance(segment, str) and segment.strip() == ""
+                and out and isinstance(out[-1], Wildcard)
+                and i + 1 < len(segments) and isinstance(segments[i + 1], Wildcard)):
+            continue
+        out.append(segment)
+    return TemplateBody.from_segments(out)
 
 
 def matches(body, text: str) -> bool:

@@ -21,9 +21,10 @@ from logsmith.analyzer import paths
 from logsmith.analyzer.parser import MAX_NESTING
 from logsmith.analyzer.paths import MAX_CALL_DEPTH
 from logsmith.cli import (
-    EXIT_FATAL, EXIT_INTERRUPTED, EXIT_OK, EXIT_PARTIAL, _config_flags, _load_config,
-    _record_line, build_parser, main)
+    EXIT_FATAL, EXIT_INTERRUPTED, EXIT_OK, EXIT_PARTIAL, _config_flags, _json_text,
+    _load_config, _record_line, _write_file, build_parser, main)
 from logsmith.config import load_config
+from logsmith.evaluation import load_ground_truth, score
 from logsmith.matcher import MatchResult
 from logsmith.templates import load_repository
 from logsmith.whitebox import GatewayUnavailable, MockGateway, extract, gateway
@@ -211,10 +212,16 @@ def test_mock_enumerates_only_the_log_calls_of_its_own_file(tmp_path, monkeypatc
 
 
 class _VerifierDown(MockGateway):
-    """The mock, except that verifier calls about a "down" template fail."""
+    """The mock, except that verifier calls about a "down" template fail: all
+    of them, or the first ``failures``."""
+
+    def __init__(self, failures: float = float("inf")):
+        super().__init__()
+        self.failures = failures
 
     def send(self, prompt: str) -> str:
-        if prompt.startswith(VERIFIER_PREFIX) and "down" in prompt:
+        if prompt.startswith(VERIFIER_PREFIX) and "down" in prompt and self.failures:
+            self.failures -= 1
             raise GatewayUnavailable("verifier unreachable")
         return super().send(prompt)
 
@@ -232,6 +239,27 @@ def test_failed_verifier_call_fails_its_unit_only(tmp_path, capsys, monkeypatch)
     err = capsys.readouterr().err
     assert f"warning: gateway failed for {project / 'B.java'}: verifier unreachable" in err
     assert [t.body.render() for t in load_repository(out)] == ["up and running"]
+
+
+@pytest.mark.parametrize("failures, kept", [
+    (2, ["up and running", "going down now"]),  # the second retry answers
+    (3, ["up and running"]),                    # max_retries + 1 failures
+])
+def test_verifier_call_is_retried_max_retries_times(tmp_path, capsys, monkeypatch,
+                                                     failures, kept):
+    monkeypatch.setattr(extract, "make_gateway", lambda *args: _VerifierDown(failures))
+    project = tmp_path / "project"
+    project.mkdir()
+    for name, message in (("A", "up and running"), ("B", "going down now")):
+        (project / f"{name}.java").write_text(
+            f'package p;\nclass {name} {{\n  void f() {{ log.info("{message}"); }}\n}}\n',
+            encoding="utf-8")
+    out = tmp_path / "repo.jsonl"
+    assert main(["extract", str(project), "--out", str(out), "--enable-verifier",
+                 "--max-retries", "2"]) == EXIT_OK
+    err = capsys.readouterr().err
+    assert ("warning: gateway failed" in err) == (len(kept) == 1)
+    assert [t.body.render() for t in load_repository(out)] == kept
 
 
 def test_report_marker_in_a_log_literal_keeps_the_file(tmp_path, capsys):
@@ -783,6 +811,51 @@ def test_eval_bad_truth_is_fatal(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+def test_eval_out_is_json_dumps_indent_2_of_the_report(repo_path, tmp_path, capsys):
+    truth = tmp_path / "truth.txt"
+    truth.write_text("Guest_<.*>\nUser_<.*>_NotFound\nnot extracted\n", encoding="utf-8")
+    log = tmp_path / "app.log"
+    log.write_text("User_A_NotFound\n", encoding="utf-8")
+    out = tmp_path / "eval.json"
+    assert main(["eval", str(repo_path), str(truth), "--log-file", str(log),
+                 "--repetitions", "1", "--out", str(out)]) == EXIT_OK
+    report = score([t.body for t in load_repository(repo_path)], load_ground_truth(truth))
+    report.timing = json.loads(out.read_bytes())["timing"]  # the one measured field
+    assert report.matched_pairs and report.timing > 0
+    assert out.read_bytes() == (json.dumps(vars(report), indent=2) + "\n").encode()
+
+
+# Strings with the characters json escapes in its own ways: quote, backslash,
+# C0 controls, DEL, non-ASCII, U+2028, astral (a surrogate pair) and a lone
+# surrogate.
+_JSON_STRINGS = st.text(alphabet=st.one_of(
+    st.characters(), st.sampled_from('"\\\x00\x1f\x7f\xe9\u2028\U0001f600\ud800')))
+_JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), _JSON_STRINGS),
+    lambda children: st.one_of(st.lists(children), st.lists(children).map(tuple),
+                               st.dictionaries(_JSON_STRINGS, children)),
+    max_leaves=25)
+
+
+@given(_JSON_VALUES)
+def test_json_text_is_json_dumps_indent_2(value):
+    assert _json_text(value) == json.dumps(value, indent=2)
+
+
+def test_json_text_refuses_what_json_refuses():
+    with pytest.raises(TypeError):
+        _json_text({"a": [{1, 2}]})
+
+
+def test_write_file_finishes_after_short_writes(tmp_path, monkeypatch):
+    write = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: write(fd, bytes(data[:3])))
+    path = tmp_path / "out.txt"
+    path.write_bytes(b"an older and much longer content")
+    _write_file(path, b"0123456789\n")
+    assert path.read_bytes() == b"0123456789\n"
+
+
 def test_report_stdout_matches_golden(capsys):
     assert main(["report", str(EXAMPLE_PROJECT)]) == EXIT_OK
     assert capsys.readouterr().out == GOLDEN_REPORT.read_text(encoding="utf-8")
@@ -798,6 +871,7 @@ def test_report_writes_files(tmp_path):
         encoding="utf-8")
     structured = json.loads(json_out.read_text())
     assert structured["call_count"] == 2
+    assert json_out.read_bytes() == (json.dumps(structured, indent=2) + "\n").encode()
 
 
 def test_config_file_and_flag_override(tmp_path, capsys):

@@ -3,9 +3,13 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import oracle
 from logsmith.evaluation import (
     GroundTruthError,
+    canonical,
     load_ground_truth,
     score,
     templates_equal,
@@ -13,7 +17,7 @@ from logsmith.evaluation import (
 )
 from logsmith.blackbox import ClusterTree
 from logsmith.matcher import compile_repository
-from logsmith.templates import Template, TemplateBody
+from logsmith.templates import WILD, Template, TemplateBody
 
 
 def _bodies(*texts: str) -> list[TemplateBody]:
@@ -34,6 +38,25 @@ def test_unequal_templates():
     assert not templates_equal(*_bodies("a <.*> b", "a <.*>b"))
     assert not templates_equal(*_bodies("a <.*>", "a"))
     assert not templates_equal(*_bodies("read <.*>", "<.*> read"))
+
+
+# Whitespace by str.isspace (ASCII, U+0085, U+3000, the U+001C-U+001F
+# separators), empty-looking text that is not whitespace (U+200B, U+FEFF),
+# and other non-ASCII constants.
+_CONSTANTS = st.text(alphabet=" \t\n\x0b\x0c\r\x1c\x1f\x85\xa0\u2028\u3000"
+                              "\u200b\ufeffa\xe9\u4e2d\U0001f600", max_size=4)
+
+
+@given(st.lists(st.one_of(_CONSTANTS, st.just(WILD)), max_size=12))
+def test_canonical_agrees_with_the_reference_walk(raw):
+    body = TemplateBody.from_segments(raw)
+    assert canonical(body) == oracle.canonical(body)
+
+
+def test_canonical_returns_a_body_with_nothing_to_collapse_itself():
+    for text in ("a <.*> b", " <.*>x<.*> ", "<.*> \u200b <.*>", "", "<.*>"):
+        body = TemplateBody.parse(text)
+        assert canonical(body) is body
 
 
 def test_adjacent_wildcards_with_whitespace_collapse():

@@ -1,5 +1,6 @@
 """Every name a module of the package imports is used in that module, and so
-is every private name (``_x``) it defines at module or class level.
+is every private name (``_x``) it defines at module or class level. No module
+asks ``json`` for indented output: that goes through the CLI's one encoder.
 
 Package ``__init__.py`` files are exempt from the import check: their imports
 are re-exports.
@@ -99,3 +100,43 @@ def test_module_uses_every_private_name_it_defines(path):
 ])
 def test_unused_private_names_reads_module_and_class_level(source, unused):
     assert unused_private_names(source) == unused
+
+
+def indented_json_calls(source: str) -> list[str]:
+    """The calls in ``source`` of ``json.dump``/``json.dumps``, by module
+    attribute or by imported name, that pass an ``indent`` keyword."""
+    tree = ast.parse(source)
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "json"
+                for alias in node.names if alias.name in ("dump", "dumps")}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                and func.value.id == "json" and func.attr in ("dump", "dumps")):
+            name = f"json.{func.attr}"
+        elif isinstance(func, ast.Name) and func.id in imported:
+            name = func.id
+        else:
+            continue
+        if any(keyword.arg == "indent" for keyword in node.keywords):
+            found.append(f"line {node.lineno}: {name}")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: str(path.relative_to(PACKAGE)))
+def test_module_writes_no_indented_json_itself(path):
+    assert indented_json_calls(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("source, found", [
+    ("import json\njson.dumps(v, indent=2)\n", ["line 2: json.dumps"]),
+    ("import json\njson.dump(v, f, indent=None)\n", ["line 2: json.dump"]),
+    ("import json\njson.dumps(v)\njson.dumps(v, ensure_ascii=False)\n", []),
+    ("from json import dumps as d\nd(v, indent=4)\n", ["line 2: d"]),
+    ("from json import loads\nloads(v)\nother.dumps(v, indent=2)\n", []),
+])
+def test_indented_json_calls_reads_attribute_and_imported_calls(source, found):
+    assert indented_json_calls(source) == found

@@ -6,7 +6,13 @@ import random
 import pytest
 
 from logsmith.templates import TemplateBody
-from logsmith.whitebox import MockGateway, PostProcessPolicy, post_process
+from logsmith.whitebox import (
+    GatewayTimeout,
+    GatewayUnavailable,
+    MockGateway,
+    PostProcessPolicy,
+    post_process,
+)
 from logsmith.whitebox.postprocess import (
     REASON_ALL_WILDCARD,
     REASON_LOW_CONSTANT_TOKEN_RATIO,
@@ -128,6 +134,39 @@ def test_verifier_round_trip():
     assert [t.body.render() for t in accepted] == ["sync done"]
     assert [r.reason for r in rejected] == [REASON_VERIFIER_REJECTED]
     assert rejected[0].template == "___<.*>"
+
+
+class _FlakyVerifier(MockGateway):
+    """The mock, except that its first ``failures`` verifier calls fail in transport."""
+
+    def __init__(self, failures: int, error=GatewayUnavailable):
+        super().__init__()
+        self.failures, self.error, self.sent = failures, error, 0
+
+    def send(self, prompt: str) -> str:
+        self.sent += 1
+        if self.sent <= self.failures:
+            raise self.error("verifier unreachable")
+        return super().send(prompt)
+
+
+@pytest.mark.parametrize("error", [GatewayUnavailable, GatewayTimeout])
+def test_verifier_call_is_retried_after_a_transport_error(error):
+    gateway = _FlakyVerifier(failures=1, error=error)
+    accepted, rejected = post_process([_record("sync done")],
+                                      PostProcessPolicy(enable_verifier=True),
+                                      gateway, attempts=2)
+    assert [t.body.render() for t in accepted] == ["sync done"]
+    assert rejected == [] and gateway.sent == 2
+
+
+@pytest.mark.parametrize("attempts", [1, 3])
+def test_verifier_call_raises_the_last_error_once_attempts_run_out(attempts):
+    gateway = _FlakyVerifier(failures=attempts)
+    with pytest.raises(GatewayUnavailable, match="verifier unreachable"):
+        post_process([_record("sync done")], PostProcessPolicy(enable_verifier=True),
+                     gateway, attempts=attempts)
+    assert gateway.sent == attempts
 
 
 def test_post_process_is_idempotent_on_accepted_set():
