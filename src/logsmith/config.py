@@ -81,7 +81,17 @@ def _typed(name: str, value, hint):
     return tuple(value) if type(value) is list else float(value) if hint is float else value
 
 
-def _section(data: dict, name: str, owner: type, prefix: str = "") -> dict:
+def _hint(hints: dict[type, dict], owner: type, name: str):
+    """The annotation of ``owner``'s field ``name``. ``hints`` keeps each
+    class's resolved annotations, so one build resolves a class at most once
+    and only when the file gives one of its fields."""
+    if owner not in hints:
+        hints[owner] = get_type_hints(owner)
+    return hints[owner][name]
+
+
+def _section(data: dict, name: str, owner: type, hints: dict[type, dict],
+             prefix: str = "") -> dict:
     """Section ``name`` as values of ``owner``'s fields, each named ``prefix`` + key."""
     section = data.get(name) or {}
     if not isinstance(section, dict):
@@ -89,8 +99,7 @@ def _section(data: dict, name: str, owner: type, prefix: str = "") -> dict:
     unknown = set(section) - SECTIONS[name]
     if unknown:
         raise ConfigError(f"unknown keys in {name!r}: {', '.join(sorted(unknown))}")
-    hints = get_type_hints(owner)
-    return {prefix + key: _typed(f"{name}.{key}", value, hints[prefix + key])
+    return {prefix + key: _typed(f"{name}.{key}", value, _hint(hints, owner, prefix + key))
             for key, value in section.items()}
 
 
@@ -116,16 +125,19 @@ def build_config(data) -> Config:
     unknown = set(data) - set(SECTIONS) - {"workers"}
     if unknown:
         raise ConfigError(f"unknown top-level keys: {', '.join(sorted(unknown))}")
+    hints: dict[type, dict] = {}
     try:  # out-of-range values, an integer past the float range among them
-        values = {**_section(data, "tree", Config, "tree_"),
-                  **_section(data, "matching", Config), **_section(data, "analyzer", Config)}
+        values = {**_section(data, "tree", Config, hints, "tree_"),
+                  **_section(data, "matching", Config, hints),
+                  **_section(data, "analyzer", Config, hints)}
         if "workers" in data:
-            hint = get_type_hints(Config)["workers"]
-            values["workers"] = _typed("workers", data["workers"], hint)
-        return Config(gateway=GatewayConfig(**_section(data, "gateway", GatewayConfig)),
+            values["workers"] = _typed("workers", data["workers"],
+                                       _hint(hints, Config, "workers"))
+        return Config(gateway=GatewayConfig(**_section(data, "gateway", GatewayConfig, hints)),
                       postprocess=PostProcessPolicy(
-                          **_section(data, "postprocess", PostProcessPolicy)),
-                      budget=PathBudget(**_section(data, "paths", PathBudget)), **values)
+                          **_section(data, "postprocess", PostProcessPolicy, hints)),
+                      budget=PathBudget(**_section(data, "paths", PathBudget, hints)),
+                      **values)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
 

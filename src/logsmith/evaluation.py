@@ -50,11 +50,6 @@ def canonical(body: TemplateBody) -> TemplateBody:
     return TemplateBody.from_segments([body.segments[0], *kept, body.segments[-1]])
 
 
-def templates_equal(a: TemplateBody, b: TemplateBody) -> bool:
-    """Strict equality: any mistake in static text or variable bounds counts."""
-    return canonical(a) == canonical(b)
-
-
 def load_ground_truth(path: str | Path) -> tuple[TemplateBody, ...]:
     """The templates of :func:`template_lines`; each must already be normalized
     (its parse renders back to the identical string), else GroundTruthError

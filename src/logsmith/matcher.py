@@ -13,9 +13,16 @@ constant it really has, found through a prefix index on each edge, and
 those with wildcards at both edges whose needle (the longest inner
 constant) it holds, up to the best hit so far. The repository keeps a
 fixed order — most constant characters first, then fewest wildcards — and
-the first template in it that matches wins, so the most specific one does. Lines matching nothing are routed to the black-box
-cluster tree. ``match_stream`` yields each line's result as the line
-arrives and keeps running counts, so memory holds no part of the stream.
+the first template in it that matches wins, so the most specific one does.
+Lines matching nothing are routed to the black-box cluster tree.
+``match_stream`` yields each line's result as the line arrives and keeps
+running counts, so memory holds no part of the stream.
+
+Compiling visits each template once: it hashes the body once for the
+duplicate check and computes the sort key (constant characters, wildcard
+count, rendered text) once; the plan then slices the segment tuple and
+keeps that rendering as its text. Each index key's group is its parent key's group
+merged with the key's own entries.
 """
 
 from __future__ import annotations
@@ -24,10 +31,11 @@ import re
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator
 
 from .blackbox import ClusterTree
-from .templates import Template, TemplateBody
+from .templates import WILD, Template, TemplateBody
 
 
 class DuplicateTemplate(Exception):
@@ -72,6 +80,9 @@ class CompiledEntry:
         return tuple(captures)
 
 
+_BY_ID = attrgetter("template_id")
+
+
 @dataclass(frozen=True)
 class ConstantIndex:
     """Entries keyed by a constant that a text must start with.
@@ -97,14 +108,19 @@ class ConstantIndex:
             by_key.setdefault(key(entry), []).append(entry)
         keys = sorted(by_key)
         chain: list[int] = []
-        groups, parents = [], []
+        groups: list[tuple[CompiledEntry, ...]] = []
+        parents = []
         for position, constant in enumerate(keys):
             while chain and not constant.startswith(keys[chain[-1]]):
                 chain.pop()
-            parents.append(chain[-1] if chain else -1)
+            parent = chain[-1] if chain else -1
+            parents.append(parent)
             chain.append(position)
-            groups.append(tuple(sorted((e for k in chain for e in by_key[keys[k]]),
-                                       key=lambda e: e.template_id)))
+            # The parent's group is already in id order, so the sort merges
+            # two runs in linear time.
+            inherited = groups[parent] if parent >= 0 else ()
+            groups.append(tuple(sorted(inherited + tuple(by_key[constant]),
+                                       key=_BY_ID)))
         return cls(tuple(keys), tuple(groups), tuple(parents))
 
     def candidates(self, text: str) -> tuple[CompiledEntry, ...]:
@@ -138,23 +154,26 @@ class CompiledRepository:
         return len(self.entries)
 
 
-def _entry(template_id: int, template: Template,
+def _entry(template_id: int, template: Template, text: str,
            allow_empty_inner: bool) -> CompiledEntry:
-    segments = list(template.body.segments)
-    prefix = segments.pop(0) if segments and isinstance(segments[0], str) else ""
-    suffix = segments.pop() if segments and isinstance(segments[-1], str) else ""
+    segments = template.body.segments
+    prefix = segments[0] if segments and segments[0] is not WILD else ""
+    middle = segments[1:] if prefix else segments
+    suffix = middle[-1] if middle and middle[-1] is not WILD else ""
+    if suffix:
+        middle = middle[:-1]
+    # What lies between the edge constants alternates wildcard, constant, ...
+    # wildcard, so its constants are every second segment.
     inner_gap = 0 if allow_empty_inner else 1
-    gaps = [inner_gap] * ((len(segments) + 1) // 2)
+    gaps = [inner_gap] * ((len(middle) + 1) // 2)
     if gaps:
         if not prefix:
             gaps[0] = 0
         if not suffix:
             gaps[-1] = 0
-    inner = tuple(s for s in segments if isinstance(s, str))
-    return CompiledEntry(template_id=template_id, template=template,
-                         text=template.body.render(),
+    return CompiledEntry(template_id=template_id, template=template, text=text,
                          prefix=prefix, suffix=suffix, gaps=tuple(gaps),
-                         inner=inner)
+                         inner=middle[1::2])
 
 
 def compile_repository(templates: list[Template],
@@ -165,19 +184,17 @@ def compile_repository(templates: list[Template],
     ascending, rendered text — a pure function of the template set.
     """
     seen: set[TemplateBody] = set()
-    for template in templates:
-        if template.body in seen:
-            raise DuplicateTemplate(template.body)
-        seen.add(template.body)
-    ordered = sorted(
-        enumerate(templates),
-        key=lambda pair: (-pair[1].body.constant_chars,
-                          pair[1].body.wildcard_count,
-                          pair[1].body.render(),
-                          pair[0]),
-    )
-    entries = tuple(_entry(position, template, allow_empty_inner)
-                    for position, (_, template) in enumerate(ordered))
+    keyed = []
+    for position, template in enumerate(templates):
+        body = template.body
+        seen.add(body)
+        if len(seen) == position:  # the body was there already
+            raise DuplicateTemplate(body)
+        keyed.append((-body.constant_chars, body.wildcard_count, body.render(),
+                      position, template))
+    keyed.sort()
+    entries = tuple(_entry(template_id, template, text, allow_empty_inner)
+                    for template_id, (_, _, text, _, template) in enumerate(keyed))
     floating = tuple(e for e in entries if not e.prefix and not e.suffix)
     return CompiledRepository(
         entries=entries,

@@ -3,7 +3,9 @@
 A template is an ordered sequence of constant text segments and wildcard
 slots. White-box extraction, black-box clustering, matching and evaluation
 all exchange templates in this form; the textual rendering uses ``<.*>``
-for a wildcard slot.
+for a wildcard slot. The wildcard is one instance, ``WILD``: ``Wildcard()``
+returns it, copies and pickles keep it, and segments are compared and
+hashed by identity, so code tests a segment with ``is WILD``.
 """
 
 from __future__ import annotations
@@ -20,15 +22,23 @@ LEVELS = ("trace", "debug", "info", "warn", "error", "fatal")
 _LEVEL_RANK = {name: rank for rank, name in enumerate(LEVELS)}
 
 
-@dataclass(frozen=True)
 class Wildcard:
-    """Marker segment for a variable slot inside a template."""
+    """Marker segment for a variable slot inside a template; its one
+    instance is ``WILD``."""
+
+    __slots__ = ()
+
+    def __new__(cls) -> Wildcard:
+        return WILD
+
+    def __reduce__(self):
+        return (Wildcard, ())
 
     def __repr__(self) -> str:
         return WILDCARD_TOKEN
 
 
-WILD = Wildcard()
+WILD: Wildcard = object.__new__(Wildcard)
 
 
 @dataclass(frozen=True)
@@ -45,14 +55,14 @@ class TemplateBody:
     def from_segments(cls, raw: Iterable[str | Wildcard]) -> "TemplateBody":
         merged: list[str | Wildcard] = []
         for seg in raw:
-            if isinstance(seg, Wildcard):
-                if merged and isinstance(merged[-1], Wildcard):
+            if seg is WILD:
+                if merged and merged[-1] is WILD:
                     continue
                 merged.append(WILD)
             else:
                 if seg == "":
                     continue
-                if merged and isinstance(merged[-1], str):
+                if merged and merged[-1] is not WILD:
                     merged[-1] = merged[-1] + seg
                 else:
                     merged.append(seg)
@@ -61,32 +71,36 @@ class TemplateBody:
     @classmethod
     def parse(cls, text: str, token: str = WILDCARD_TOKEN) -> "TemplateBody":
         """Parse a rendered template string, splitting on the wildcard token."""
+        if not text:
+            return cls(())
+        # No piece holds the token, so a wildcard stands between each two
+        # non-empty pieces and at each edge where the text has the token.
         pieces = text.split(token)
-        raw: list[str | Wildcard] = []
-        for i, piece in enumerate(pieces):
-            if i > 0:
-                raw.append(WILD)
-            raw.append(piece)
-        return cls.from_segments(raw)
+        segments: list[str | Wildcard] = [WILD]
+        for piece in pieces:
+            if piece:
+                segments += piece, WILD
+        return cls(tuple(segments[1 if pieces[0] else 0:
+                                  -1 if pieces[-1] else len(segments)]))
 
     def render(self, token: str = WILDCARD_TOKEN) -> str:
-        return "".join(token if isinstance(s, Wildcard) else s for s in self.segments)
+        return "".join([token if s is WILD else s for s in self.segments])
 
     @property
     def constants(self) -> tuple[str, ...]:
-        return tuple(s for s in self.segments if isinstance(s, str))
+        return tuple([s for s in self.segments if s is not WILD])
 
     @property
     def constant_chars(self) -> int:
-        return sum(len(s) for s in self.constants)
+        return sum([len(s) for s in self.segments if s is not WILD])
 
     @property
     def wildcard_count(self) -> int:
-        return sum(1 for s in self.segments if isinstance(s, Wildcard))
+        return self.segments.count(WILD)
 
     @property
     def has_constant(self) -> bool:
-        return any(isinstance(s, str) for s in self.segments)
+        return any(s is not WILD for s in self.segments)
 
     def __str__(self) -> str:
         return self.render()

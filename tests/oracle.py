@@ -16,13 +16,18 @@ statements inside callees are skipped (the subset has no side effects).
 constant scan is tested against, ``result_record`` is the reference
 match-results record, which ``parse --out`` is tested against, and
 ``canonical`` is the reference segment walk that ``evaluation.canonical``
-is tested against.
+is tested against. ``parse_body`` is the reference split-then-normalise
+construction that ``TemplateBody.parse`` is tested against, and
+``compile_reference`` the reference sort, per-template plan and index build
+that ``compile_repository`` is tested against. ``templates_equal`` is the
+strict template equality the evaluation tests state their cases with.
 """
 
 from __future__ import annotations
 
 import re
 
+from logsmith import evaluation
 from logsmith.analyzer import (
     Call,
     Concat,
@@ -31,7 +36,13 @@ from logsmith.analyzer import (
     Return,
     StrLit,
 )
-from logsmith.templates import TemplateBody, Wildcard
+from logsmith.matcher import (
+    CompiledEntry,
+    CompiledRepository,
+    ConstantIndex,
+    DuplicateTemplate,
+)
+from logsmith.templates import WILD, WILDCARD_TOKEN, Template, TemplateBody, Wildcard
 
 
 class _NeedDecision(Exception):
@@ -197,6 +208,93 @@ def canonical(body: TemplateBody) -> TemplateBody:
             continue
         out.append(segment)
     return TemplateBody.from_segments(out)
+
+
+def templates_equal(a: TemplateBody, b: TemplateBody) -> bool:
+    """Strict equality: any mistake in static text or variable bounds counts."""
+    return evaluation.canonical(a) == evaluation.canonical(b)
+
+
+def parse_body(text: str, token: str = WILDCARD_TOKEN) -> TemplateBody:
+    """The reference parse: a wildcard between each two pieces of the text
+    split on ``token``, normalised by ``from_segments``."""
+    raw: list = []
+    for i, piece in enumerate(text.split(token)):
+        if i > 0:
+            raw.append(WILD)
+        raw.append(piece)
+    return TemplateBody.from_segments(raw)
+
+
+def _render(body: TemplateBody) -> str:
+    return "".join(WILDCARD_TOKEN if isinstance(s, Wildcard) else s for s in body.segments)
+
+
+def _reference_entry(template_id: int, template: Template,
+                     allow_empty_inner: bool) -> CompiledEntry:
+    segments = list(template.body.segments)
+    prefix = segments.pop(0) if segments and isinstance(segments[0], str) else ""
+    suffix = segments.pop() if segments and isinstance(segments[-1], str) else ""
+    inner_gap = 0 if allow_empty_inner else 1
+    gaps = [inner_gap] * ((len(segments) + 1) // 2)
+    if gaps:
+        if not prefix:
+            gaps[0] = 0
+        if not suffix:
+            gaps[-1] = 0
+    inner = tuple(s for s in segments if isinstance(s, str))
+    return CompiledEntry(template_id=template_id, template=template,
+                         text=_render(template.body),
+                         prefix=prefix, suffix=suffix, gaps=tuple(gaps),
+                         inner=inner)
+
+
+def _reference_index(entries, key) -> ConstantIndex:
+    """Each key's group gathered afresh from the whole chain of its prefixes."""
+    by_key: dict = {}
+    for entry in entries:
+        by_key.setdefault(key(entry), []).append(entry)
+    keys = sorted(by_key)
+    chain: list[int] = []
+    groups, parents = [], []
+    for position, constant in enumerate(keys):
+        while chain and not constant.startswith(keys[chain[-1]]):
+            chain.pop()
+        parents.append(chain[-1] if chain else -1)
+        chain.append(position)
+        groups.append(tuple(sorted((e for k in chain for e in by_key[keys[k]]),
+                                   key=lambda e: e.template_id)))
+    return ConstantIndex(tuple(keys), tuple(groups), tuple(parents))
+
+
+def compile_reference(templates: list[Template],
+                      allow_empty_inner: bool = False) -> CompiledRepository:
+    """The reference compile: the sort key recounted segment by segment, each
+    plan cut from a copied segment list, each index group gathered from the
+    whole prefix chain."""
+    seen: set[TemplateBody] = set()
+    for template in templates:
+        if template.body in seen:
+            raise DuplicateTemplate(template.body)
+        seen.add(template.body)
+    ordered = sorted(
+        enumerate(templates),
+        key=lambda pair: (-sum(len(s) for s in pair[1].body.segments if isinstance(s, str)),
+                          sum(1 for s in pair[1].body.segments if isinstance(s, Wildcard)),
+                          _render(pair[1].body),
+                          pair[0]),
+    )
+    entries = tuple(_reference_entry(position, template, allow_empty_inner)
+                    for position, (_, template) in enumerate(ordered))
+    floating = tuple(e for e in entries if not e.prefix and not e.suffix)
+    return CompiledRepository(
+        entries=entries,
+        leading=_reference_index((e for e in entries if e.prefix), lambda e: e.prefix),
+        trailing=_reference_index((e for e in entries if not e.prefix and e.suffix),
+                                  lambda e: e.suffix[::-1]),
+        floating=floating,
+        floating_ids=tuple(e.template_id for e in floating),
+        needles=tuple(max(e.inner, key=len, default="") for e in floating))
 
 
 def matches(body, text: str) -> bool:

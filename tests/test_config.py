@@ -2,8 +2,9 @@ from __future__ import annotations
 
 import pytest
 
+from logsmith import config as config_module
 from logsmith.blackbox import ClusterTree
-from logsmith.config import Config, ConfigError, load_config
+from logsmith.config import Config, ConfigError, build_config, load_config
 from logsmith.whitebox import GatewayConfig
 
 
@@ -187,3 +188,23 @@ def test_direct_construction_validates():
         Config(workers=0)
     with pytest.raises(ValueError):
         Config(tree_depth=1)
+
+
+@pytest.mark.parametrize("data, resolved", [
+    ({}, []),
+    ({"tree": {}, "gateway": None, "paths": {}}, []),
+    ({"workers": 2}, [Config]),
+    ({"tree": {"depth": 5}, "matching": {"allow_empty_inner": True},
+      "analyzer": {"builtin_methods": []}, "workers": 2}, [Config]),
+    ({"gateway": {"max_retries": 2}, "workers": 3}, [Config, GatewayConfig]),
+])
+def test_type_hints_resolved_only_for_given_keys_and_once(monkeypatch, data, resolved):
+    calls = []
+
+    def get_type_hints(owner):
+        calls.append(owner)
+        return real(owner)
+    real = config_module.get_type_hints
+    monkeypatch.setattr(config_module, "get_type_hints", get_type_hints)
+    build_config(data)
+    assert sorted(calls, key=lambda owner: owner.__name__) == resolved

@@ -12,12 +12,12 @@ from logsmith.evaluation import (
     canonical,
     load_ground_truth,
     score,
-    templates_equal,
     time_online,
 )
 from logsmith.blackbox import ClusterTree
 from logsmith.matcher import compile_repository
 from logsmith.templates import WILD, Template, TemplateBody
+from oracle import templates_equal
 
 
 def _bodies(*texts: str) -> list[TemplateBody]:

@@ -18,7 +18,7 @@ from logsmith.matcher import (
     run_stream,
 )
 from logsmith.templates import WILD, Template, TemplateBody
-from oracle import compile_body
+from oracle import compile_body, compile_reference
 
 
 def _template(text: str, **kwargs) -> Template:
@@ -256,6 +256,28 @@ def test_scan_agrees_with_regex_reference(case, allow_empty_inner):
         result = match_line(repo, message)
         got = (result.template_id, result.captures) if result.matched else None
         assert got == _reference(repo, message, allow_empty_inner), (message, bodies)
+
+
+# Constants may hold the wildcard token's text, which only ``from_segments``
+# can build, so its rendering no longer tells the wildcards apart.
+_CONSTANT = st.one_of(_TEXT, st.sampled_from(["<.*>", "x<.*>", "<.*><.*>"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.one_of(st.just(WILD), _CONSTANT), max_size=7), max_size=12),
+       st.lists(st.text(alphabet="ab <.*>", max_size=10), max_size=4), st.booleans())
+def test_compile_agrees_with_the_reference_compile(raws, texts, allow_empty_inner):
+    bodies = dict.fromkeys([*map(TemplateBody.from_segments, raws),
+                            *map(TemplateBody.parse, texts)])
+    templates = [Template(body=b) for b in bodies]
+    repo = compile_repository(templates, allow_empty_inner=allow_empty_inner)
+    reference = compile_reference(templates, allow_empty_inner)
+    assert repo.entries == reference.entries
+    assert repo.leading == reference.leading
+    assert repo.trailing == reference.trailing
+    assert repo.floating == reference.floating
+    assert repo.floating_ids == reference.floating_ids
+    assert repo.needles == reference.needles
 
 
 @pytest.mark.parametrize("texts, message, allow_empty_inner", [

@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from logsmith.templates import (
     LEVELS,
@@ -17,6 +22,7 @@ from logsmith.templates import (
     merge_templates,
     save_repository,
 )
+from oracle import parse_body
 
 
 def test_from_segments_merges_adjacent_constants():
@@ -43,6 +49,33 @@ def test_parse_and_render_round_trip():
 
 def test_parse_collapses_adjacent_wildcards():
     assert TemplateBody.parse("a<.*><.*>b").render() == "a<.*>b"
+
+
+# The characters of both tokens, blanks and letters, with whole tokens
+# drawn as pieces too so that they occur often and run together.
+_PARSE_TEXT = st.lists(st.sampled_from(
+    ["<", ".", "*", ">", "{", "}", " ", "\t", "a", "b", "<.*>", "{}"])).map("".join)
+
+
+@given(_PARSE_TEXT, st.sampled_from([WILDCARD_TOKEN, "{}"]))
+@example("", WILDCARD_TOKEN)
+@example("", "{}")
+def test_parse_agrees_with_the_split_then_normalise_reference(text, token):
+    body = TemplateBody.parse(text, token)
+    assert body == parse_body(text, token)
+    assert all(s is WILD or s for s in body.segments)
+
+
+def test_wildcard_is_one_instance():
+    assert Wildcard() is WILD
+    assert isinstance(WILD, Wildcard)
+    assert copy.copy(WILD) is WILD
+    assert copy.deepcopy(WILD) is WILD
+    assert pickle.loads(pickle.dumps(WILD)) is WILD
+    assert dataclasses.asdict(TemplateBody.parse("a<.*>"))["segments"][1] is WILD
+    body = TemplateBody.parse("x <.*> y")
+    assert pickle.loads(pickle.dumps(body)) == body
+    assert copy.deepcopy(body).segments[1] is WILD
 
 
 def test_normalization_invariant_random():
