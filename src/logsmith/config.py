@@ -140,8 +140,3 @@ def build_config(data) -> Config:
                       **values)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def load_config(path: str | Path) -> Config:
-    """Load and validate a YAML config file; missing keys use defaults."""
-    return build_config(read_config(path))

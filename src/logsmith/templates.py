@@ -6,11 +6,18 @@ all exchange templates in this form; the textual rendering uses ``<.*>``
 for a wildcard slot. The wildcard is one instance, ``WILD``: ``Wildcard()``
 returns it, copies and pickles keep it, and segments are compared and
 hashed by identity, so code tests a segment with ``is WILD``.
+
+A repository file holds one JSON record per line. ``load_repository``
+decodes each stripped line with one call to the C scanner through
+``JSONDecoder.raw_decode``, and calls ``json.loads`` only for a line that is
+not exactly one JSON value, so that the error it names the line with is
+``json.loads``' own ("Extra data", "Unexpected UTF-8 BOM", ...).
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable
@@ -137,12 +144,13 @@ class Template:
 
     @classmethod
     def from_record(cls, record: dict) -> "Template":
-        if not isinstance(record, dict) or not isinstance(record.get("template"), str):
+        text = record.get("template") if isinstance(record, dict) else None
+        if not isinstance(text, str):
             raise ValueError("a record must be an object with a string template")
         methods = record.get("methods", [])
         if not (isinstance(methods, list) and all(isinstance(m, str) for m in methods)):
             raise ValueError("methods must be a list of strings")
-        return cls(body=TemplateBody.parse(record["template"]), level=record.get("level"),
+        return cls(body=TemplateBody.parse(text), level=record.get("level"),
                    methods=tuple(methods), source=record.get("source", "whitebox"),
                    match_count=record.get("match_count"))
 
@@ -185,7 +193,9 @@ def append_repository(templates: Iterable[Template], path: str | Path) -> int:
     existing, separator = set(), ""
     if path.exists():
         existing = {t.body for t in load_repository(path)}
-        separator = "" if path.read_bytes()[-1:] in (b"", b"\n") else "\n"
+        with open(path, "rb") as handle:  # only the last byte
+            handle.seek(max(handle.seek(0, os.SEEK_END) - 1, 0))
+            separator = "" if handle.read(1) in (b"", b"\n") else "\n"
     appended = 0
     with open(path, "a", encoding="utf-8") as handle:
         for template in templates:
@@ -199,6 +209,20 @@ def append_repository(templates: Iterable[Template], path: str | Path) -> int:
     return appended
 
 
+_RAW_DECODE = json.JSONDecoder().raw_decode
+
+
+def _decode(line: str):
+    """The JSON value a stripped line holds: one ``raw_decode``, and
+    ``json.loads`` only to raise its own error when that fails or stops
+    before the end of the line."""
+    try:
+        value, end = _RAW_DECODE(line)
+    except ValueError:
+        end = -1
+    return value if end == len(line) else json.loads(line)
+
+
 def load_repository(path: str | Path) -> list[Template]:
     """The templates of a repository file; ValueError names a bad record's line."""
     templates = []
@@ -208,7 +232,7 @@ def load_repository(path: str | Path) -> list[Template]:
             if not line:
                 continue
             try:
-                templates.append(Template.from_record(json.loads(line)))
+                templates.append(Template.from_record(_decode(line)))
             except (ValueError, RecursionError) as exc:  # too deep to decode
                 raise ValueError(f"{path}: line {number}: {exc}") from None
     return templates

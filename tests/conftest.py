@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from logsmith.analyzer import build_call_graph, find_log_calls, parse_source
+from logsmith.config import Config, build_config, read_config
 
 FIXTURES = Path(__file__).parent / "fixtures"
 EXAMPLE_PROJECT = FIXTURES / "example_project"
@@ -21,6 +22,11 @@ def parse_project(directory: Path):
         units.append(unit)
         texts[unit.fqn] = text
     return units, texts
+
+
+def load_config(path: str | Path) -> Config:
+    """Load and validate a YAML config file; missing keys use defaults."""
+    return build_config(read_config(path))
 
 
 @pytest.fixture(scope="session")

@@ -19,12 +19,15 @@ match-results record, which ``parse --out`` is tested against, and
 is tested against. ``parse_body`` is the reference split-then-normalise
 construction that ``TemplateBody.parse`` is tested against, and
 ``compile_reference`` the reference sort, per-template plan and index build
-that ``compile_repository`` is tested against. ``templates_equal`` is the
+that ``compile_repository`` is tested against. ``load_repository_reference``
+is the reference load, ``json.loads`` and the record checks line by line,
+that ``load_repository`` is tested against. ``templates_equal`` is the
 strict template equality the evaluation tests state their cases with.
 """
 
 from __future__ import annotations
 
+import json
 import re
 
 from logsmith import evaluation
@@ -224,6 +227,31 @@ def parse_body(text: str, token: str = WILDCARD_TOKEN) -> TemplateBody:
             raw.append(WILD)
         raw.append(piece)
     return TemplateBody.from_segments(raw)
+
+
+def load_repository_reference(path) -> list[Template]:
+    """The reference load: each stripped line through ``json.loads``, then the
+    record checks with each key looked up where a check names it."""
+    templates = []
+    with open(path, "r", encoding="utf-8") as handle:
+        for number, line in enumerate(handle, 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+                if not isinstance(record, dict) or not isinstance(record.get("template"), str):
+                    raise ValueError("a record must be an object with a string template")
+                methods = record.get("methods", [])
+                if not (isinstance(methods, list) and all(isinstance(m, str) for m in methods)):
+                    raise ValueError("methods must be a list of strings")
+                templates.append(Template(
+                    body=parse_body(record["template"]), level=record.get("level"),
+                    methods=tuple(methods), source=record.get("source", "whitebox"),
+                    match_count=record.get("match_count")))
+            except (ValueError, RecursionError) as exc:
+                raise ValueError(f"{path}: line {number}: {exc}") from None
+    return templates
 
 
 def _render(body: TemplateBody) -> str:

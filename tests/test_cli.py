@@ -23,14 +23,13 @@ from logsmith.analyzer.paths import MAX_CALL_DEPTH
 from logsmith.cli import (
     EXIT_FATAL, EXIT_INTERRUPTED, EXIT_OK, EXIT_PARTIAL, _config_flags, _json_text,
     _load_config, _record_line, _write_file, build_parser, main)
-from logsmith.config import load_config
 from logsmith.evaluation import load_ground_truth, score
 from logsmith.matcher import MatchResult
 from logsmith.templates import load_repository
 from logsmith.whitebox import GatewayUnavailable, MockGateway, extract, gateway
 from logsmith.whitebox.gateway import VERIFIER_PREFIX
 
-from conftest import EXAMPLE_PROJECT, FIXTURES, GOLDEN_REPORT
+from conftest import EXAMPLE_PROJECT, FIXTURES, GOLDEN_REPORT, load_config
 from generator import generate_project
 from oracle import result_record
 

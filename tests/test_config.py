@@ -4,8 +4,10 @@ import pytest
 
 from logsmith import config as config_module
 from logsmith.blackbox import ClusterTree
-from logsmith.config import Config, ConfigError, build_config, load_config
+from logsmith.config import Config, ConfigError, build_config
 from logsmith.whitebox import GatewayConfig
+
+from conftest import load_config
 
 
 def test_defaults():

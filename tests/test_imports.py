@@ -1,9 +1,12 @@
 """Every name a module of the package imports is used in that module, and so
-is every private name (``_x``) it defines at module or class level. No module
-asks ``json`` for indented output: that goes through the CLI's one encoder.
+is every private name (``_x``) it defines at module or class level. Every
+public name a module defines at top level is used somewhere in the package
+outside its own definition, except the console script's entry point. No
+module asks ``json`` for indented output: that goes through the CLI's one
+encoder.
 
 Package ``__init__.py`` files are exempt from the import check: their imports
-are re-exports.
+are re-exports, which do not count as uses of a public name either.
 """
 
 from __future__ import annotations
@@ -32,36 +35,88 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in bound.items() if name not in used]
 
 
-def unused_private_names(source: str) -> list[str]:
-    """The private names that ``source`` defines at module or class level and
-    that nothing outside their own definition names. Dunder names are exempt."""
-    tree = ast.parse(source)
-    bodies = [tree.body] + [node.body for node in tree.body if isinstance(node, ast.ClassDef)]
-    defined: dict[str, ast.stmt] = {}
-    for node in (node for body in bodies for node in body):
+def _definitions(body: list[ast.stmt]):
+    """(name, statement) for each name a def, class or assignment in ``body`` binds."""
+    for node in body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names = [node.name]
+            yield node.name, node
         elif isinstance(node, ast.Assign):
-            names = [target.id for target in node.targets if isinstance(target, ast.Name)]
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, node
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-            names = [node.target.id]
-        else:
-            continue
-        for name in names:
-            if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
-                defined[name] = node
-    uses: dict[str, list[ast.AST]] = {}
+            yield node.target.id, node
+
+
+def _uses(tree: ast.AST, uses: dict[str, list[ast.AST]]) -> None:
+    """Add to ``uses`` each node of ``tree`` that reads a name or an attribute."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             uses.setdefault(node.id, []).append(node)
         elif isinstance(node, ast.Attribute):
             uses.setdefault(node.attr, []).append(node)
+
+
+def _string_annotation_uses(tree: ast.AST, uses: dict[str, list[ast.AST]]) -> None:
+    """Add to ``uses`` each name in a string annotation of ``tree`` (a forward
+    reference such as ``"Expr | None"``), recorded as the string's node."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotation = node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotation = node.returns
+        else:
+            continue
+        for text in ast.walk(annotation) if annotation else ():
+            if isinstance(text, ast.Constant) and isinstance(text.value, str):
+                for name in ast.walk(ast.parse(text.value, mode="eval")):
+                    if isinstance(name, ast.Name):
+                        uses.setdefault(name.id, []).append(text)
+
+
+def _unused(defined, uses: dict[str, list[ast.AST]]) -> list[tuple[str, ast.stmt]]:
+    """The (name, definition) pairs whose every use lies inside the definition."""
     unused = []
-    for name, definition in defined.items():
+    for name, definition in defined:
         own = {id(node) for node in ast.walk(definition)}
         if all(id(node) in own for node in uses.get(name, ())):
-            unused.append(f"line {definition.lineno}: {name}")
+            unused.append((name, definition))
     return unused
+
+
+def unused_private_names(source: str) -> list[str]:
+    """The private names that ``source`` defines at module or class level and
+    that nothing outside their own definition names. Dunder names are exempt."""
+    tree = ast.parse(source)
+    bodies = [tree.body] + [node.body for node in tree.body if isinstance(node, ast.ClassDef)]
+    defined = {name: node for body in bodies for name, node in _definitions(body)
+               if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))}
+    uses: dict[str, list[ast.AST]] = {}
+    _uses(tree, uses)
+    return [f"line {node.lineno}: {name}" for name, node in _unused(defined.items(), uses)]
+
+
+def unused_public_names(sources: dict[str, str], allowed=frozenset()) -> list[str]:
+    """The public names that the modules in ``sources`` (file name -> source)
+    define at top level and that nothing names outside their own definition.
+
+    Uses in an ``__init__.py`` (its re-exports) and in a module's
+    ``if __name__ == "__main__"`` block do not count. Names in ``allowed``
+    are exempt."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    uses: dict[str, list[ast.AST]] = {}
+    for module, tree in trees.items():
+        if Path(module).name == "__init__.py":
+            continue
+        for node in tree.body:
+            if not (isinstance(node, ast.If)
+                    and ast.unparse(node.test) == "__name__ == '__main__'"):
+                _uses(node, uses)
+                _string_annotation_uses(node, uses)
+    return [f"{module} line {node.lineno}: {name}"
+            for module, tree in trees.items()
+            for name, node in _unused(_definitions(tree.body), uses)
+            if not name.startswith("_") and name not in allowed]
 
 
 def test_modules_are_found():
@@ -100,6 +155,43 @@ def test_module_uses_every_private_name_it_defines(path):
 ])
 def test_unused_private_names_reads_module_and_class_level(source, unused):
     assert unused_private_names(source) == unused
+
+
+# ``main`` is the ``logsmith`` console script, which nothing in the package calls.
+ENTRY_POINTS = frozenset({"main"})
+
+
+def _package_sources() -> dict[str, str]:
+    return {str(path.relative_to(PACKAGE)): path.read_text(encoding="utf-8")
+            for path in sorted(PACKAGE.rglob("*.py"))}
+
+
+def test_package_uses_every_public_name_it_defines():
+    assert unused_public_names(_package_sources(), ENTRY_POINTS) == []
+
+
+def test_public_name_check_finds_a_planted_unused_function():
+    sources = _package_sources()
+    sources["matcher.py"] += "\n\ndef planted_helper(line):\n    return line\n"
+    found = unused_public_names(sources, ENTRY_POINTS)
+    assert len(found) == 1 and found[0].startswith("matcher.py line ")
+    assert found[0].endswith(": planted_helper")
+
+
+@pytest.mark.parametrize("sources, unused", [
+    ({"a.py": "def f(): ...\n"}, ["a.py line 1: f"]),
+    ({"a.py": "def f(): ...\n", "b.py": "from a import f\nf()\n"}, []),
+    ({"a.py": "def f(): ...\n", "b.py": "import a\na.f()\n"}, []),
+    ({"a.py": "def f(n):\n    return f(n - 1)\n"}, ["a.py line 1: f"]),
+    ({"a.py": "X = 1\ndef g():\n    return X\n"}, ["a.py line 2: g"]),
+    ({"a.py": "class C: ...\n", "b.py": "def h(x: 'C | None') -> None: ...\nh(1)\n"}, []),
+    ({"a.py": "class C: ...\n", "__init__.py": "from .a import C\n"}, ["a.py line 1: C"]),
+    ({"a.py": "def main(): ...\nif __name__ == '__main__':\n    main()\n"},
+     ["a.py line 1: main"]),
+    ({"a.py": "def _f(): ...\n__all__ = []\n"}, []),
+])
+def test_unused_public_names_reads_uses_across_modules(sources, unused):
+    assert unused_public_names(sources) == unused
 
 
 def indented_json_calls(source: str) -> list[str]:

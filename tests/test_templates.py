@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import json
 import pickle
 import random
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from logsmith.templates import (
@@ -22,7 +23,7 @@ from logsmith.templates import (
     merge_templates,
     save_repository,
 )
-from oracle import parse_body
+from oracle import load_repository_reference, parse_body
 
 
 def test_from_segments_merges_adjacent_constants():
@@ -140,6 +141,97 @@ def test_append_repository_skips_existing(tmp_path):
     fresh = Template(body=TemplateBody.parse("b_<.*>"))
     assert append_repository([duplicate, fresh], path) == 1
     assert [t.body.render() for t in load_repository(path)] == ["a_<.*>", "b_<.*>"]
+
+
+@pytest.mark.parametrize("content, expected", [
+    (b'{"template": "a"}', b'{"template": "a"}\n{"template": "b"'),
+    (b"", b'{"template": "b"'),
+    (b'{"template": "a"}\r\n', b'{"template": "a"}\r\n{"template": "b"'),
+], ids=["no-final-newline", "empty", "crlf"])
+def test_append_repository_starts_the_next_record_on_a_new_line(tmp_path, content,
+                                                                  expected):
+    path = tmp_path / "repo.jsonl"
+    path.write_bytes(content)
+    assert append_repository([Template(body=TemplateBody.parse("b"))], path) == 1
+    assert path.read_bytes().startswith(expected)
+    assert path.read_bytes().endswith(b"}\n")
+    assert [t.body.render() for t in load_repository(path)] == (
+        ["a", "b"] if content else ["b"])
+
+
+def _outcome(load, path):
+    """The templates ``load`` reads from ``path``, or the text of its ValueError."""
+    try:
+        return load(path)
+    except ValueError as exc:
+        return str(exc)
+
+
+_RECORDS = st.fixed_dictionaries(
+    {"template": st.text(st.sampled_from("ab <.*>{}\u2028"))},
+    optional={"level": st.sampled_from([None, *LEVELS]),
+              "methods": st.lists(st.sampled_from(["p.A.f", "q.B.g"]), max_size=2),
+              "source": st.sampled_from(["whitebox", "blackbox"]),
+              "match_count": st.integers(0, 9)})
+_BAD_LINES = [
+    '\ufeff{"template": "a"}',
+    '{"template": "a"} {"template": "b"}',
+    '{"template": "a"}, {"template": "b"}',
+    '{"template": "a", "level": "info"',
+    '{"template": "a", "methods": [1]}',
+    '{"template": "a", "methods": "p.A.f"}',
+    '["template", "a"]',
+    '{"template": 1}',
+    '"a"',
+    "[" * 100_000,
+]
+_BLANK_LINES = ["", " \t", "\x0c", "\u2028", "\x0c \u2028"]
+_LINES = st.one_of(_RECORDS.map(lambda record: json.dumps(record, ensure_ascii=False)),
+                   _RECORDS.map(json.dumps), st.sampled_from(_BAD_LINES + _BLANK_LINES),
+                   st.text(st.characters(exclude_categories=["Cs"]), max_size=12))
+
+
+@settings(deadline=None)
+@given(st.lists(_LINES, max_size=8), st.sampled_from(["\n", "\r\n"]))
+@example(['{"template": "a <.*>"}', "\x0c", "\u2028", '{"template": "b"}'], "\r\n")
+@example(['{"template":"a"}, {"template":"b"}', '{"template":"c"', '"level":"info"}'], "\n")
+def test_load_agrees_with_the_per_line_json_loads_reference(tmp_path_factory, lines, end):
+    path = tmp_path_factory.getbasetemp() / "load_differential.jsonl"
+    path.write_bytes("".join(line + end for line in lines).encode("utf-8"))
+    assert _outcome(load_repository, path) == _outcome(load_repository_reference, path)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ('\ufeff{"template": "a"}',
+     "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+    ('{"template": "a"} {"template": "b"}', "Extra data: line 1 column 19 (char 18)"),
+    ('{"template": "a"}, {"template": "b"}', "Extra data: line 1 column 18 (char 17)"),
+    ('{"template": "a", "level": "info"',
+     "Expecting ',' delimiter: line 1 column 34 (char 33)"),
+    ('{"template": "a", "methods": [1]}', "methods must be a list of strings"),
+    ('["template", "a"]', "a record must be an object with a string template"),
+    ("[" * 100_000,
+     "maximum recursion depth exceeded while decoding a JSON array from a unicode string"),
+], ids=["bom", "two-objects", "two-objects-comma", "truncated", "methods-number",
+        "not-an-object", "too-deep"])
+def test_load_names_the_bad_line_with_the_json_loads_error(tmp_path, bad, message):
+    path = tmp_path / "repo.jsonl"
+    path.write_bytes(f'{{"template": "ok <.*>"}}\r\n\x0c\r\n{bad}\r\n'.encode("utf-8"))
+    with pytest.raises(ValueError) as error:
+        load_repository(path)
+    assert str(error.value) == f"{path}: line 3: {message}"
+    assert str(error.value) == _outcome(load_repository_reference, path)
+
+
+def test_load_skips_blank_lines_and_reads_crlf_ends(tmp_path):
+    path = tmp_path / "repo.jsonl"
+    path.write_bytes('{"template": "a <.*>", "methods": ["p.A.f"]}\r\n\x0c\r\n'
+                     '\u2028\r\n \t\r\n{"template": "b", "level": "warn"}\r\n'
+                     .encode("utf-8"))
+    assert load_repository(path) == [
+        Template(body=TemplateBody.parse("a <.*>"), methods=("p.A.f",)),
+        Template(body=TemplateBody.parse("b"), level="warn")]
+    assert load_repository(path) == load_repository_reference(path)
 
 
 def test_wildcard_token_text():
