@@ -15,7 +15,7 @@ from typing import Iterable
 from .syntax import Call, Ident, MethodDecl, SourceUnit
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResolvedTarget:
     unit: SourceUnit
     method: MethodDecl
@@ -25,7 +25,7 @@ class ResolvedTarget:
         return (self.unit.fqn, self.method.name, len(self.method.params))
 
 
-@dataclass
+@dataclass(slots=True)
 class CallGraph:
     methods: dict[tuple[str, str, int], ResolvedTarget] = field(default_factory=dict)
     units_by_fqn: dict[str, SourceUnit] = field(default_factory=dict)

@@ -10,7 +10,7 @@ from .syntax import Call, Concat, ExprStmt, Ident, If, MethodDecl, Return, Sourc
 LOGGER_NAMES = {"log", "logger"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LogCallSite:
     """One logger invocation: ``log.<level>(...)`` or ``logger.<level>(...)``."""
 

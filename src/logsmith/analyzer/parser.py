@@ -19,6 +19,7 @@ quadratic, since every opener scans on to the end.
 from __future__ import annotations
 
 import re
+from sys import intern
 
 from .syntax import (
     Call,
@@ -105,7 +106,10 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         elif first in _PUNCT:
             append((lexeme, lexeme, line))
         elif first.isalpha() or first == "_":
-            append((lexeme if lexeme in _KEYWORDS else "ident", lexeme, line))
+            # one string object per distinct word of the project, however
+            # many files and nodes name it
+            word = intern(lexeme)
+            append((word if word in _KEYWORDS else "ident", word, line))
         elif first == '"' and len(lexeme) > 1:
             value = lexeme[1:-1]
             if "\\" in value:

@@ -55,7 +55,7 @@ KIND_UNKNOWN = "unknown"
 MAX_CALL_DEPTH = 12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PathBudget:
     max_call_depth: int = 8
     max_paths_per_site: int = 64
@@ -67,7 +67,7 @@ class PathBudget:
             raise ValueError(f"max_call_depth must be at most {MAX_CALL_DEPTH}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PathStep:
     class_fqn: str
     call_code: str
@@ -75,13 +75,13 @@ class PathStep:
     callee_source: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CallPath:
     steps: tuple[PathStep, ...]
     yielded: TemplateBody
 
 
-@dataclass
+@dataclass(slots=True)
 class PathEnumeration:
     """All feasible paths of one call site, plus analysis flags."""
 
@@ -283,9 +283,11 @@ def enumerate_paths(site: LogCallSite, graph: CallGraph,
 
 
 def analyze_project(units: list[SourceUnit], budget: PathBudget = PathBudget(),
-                    builtin_methods=DEFAULT_BUILTIN_METHODS) -> list[list[PathEnumeration]]:
-    """Per unit, in input order, the enumeration of each log call in line order;
-    one call graph over all ``units`` resolves every helper call."""
+                    builtin_methods=DEFAULT_BUILTIN_METHODS) -> Iterator[list[PathEnumeration]]:
+    """Per unit, in input order, the enumeration of each log call in line order,
+    computed only when that unit is reached; one call graph over all ``units``
+    resolves every helper call."""
     graph = build_call_graph(units)
-    return [[enumerate_paths(site, graph, budget, builtin_methods)
-             for site in find_log_calls(unit)] for unit in units]
+    for unit in units:
+        yield [enumerate_paths(site, graph, budget, builtin_methods)
+               for site in find_log_calls(unit)]

@@ -24,7 +24,7 @@ _KIND_TEXT = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StaticReport:
     enumerations: tuple[PathEnumeration, ...]
 

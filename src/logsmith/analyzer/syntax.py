@@ -14,23 +14,23 @@ from dataclasses import dataclass
 
 # --- expressions ---
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StrLit:
     text: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ident:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Concat:
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Call:
     # receiver is None for bare same-class calls; an Ident receiver may name
     # either a variable or a class (resolution decides later).
@@ -45,19 +45,19 @@ Expr = StrLit | Ident | Concat | Call
 
 # --- statements ---
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class If:
     cond: "Expr"
     then_body: tuple["Stmt", ...]
     else_body: tuple["Stmt", ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Return:
     value: "Expr | None"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExprStmt:
     expr: "Expr"
 
@@ -65,7 +65,7 @@ class ExprStmt:
 Stmt = If | Return | ExprStmt
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MethodDecl:
     name: str
     params: tuple[tuple[str, str], ...]  # (name, declared type)
@@ -80,7 +80,7 @@ class MethodDecl:
         return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SourceUnit:
     path: str
     package: str

@@ -48,6 +48,7 @@ from .templates import (
     TemplateBody,
     append_repository,
     load_repository,
+    merge_templates,
     save_repository,
 )
 from .whitebox.extract import ProjectFile, extract_project
@@ -138,36 +139,39 @@ def cmd_extract(args: argparse.Namespace) -> int:
         print("error: no source file parsed", file=sys.stderr)
         return EXIT_PARTIAL
 
-    result = extract_project(
-        files, gateway_config=config.gateway, policy=config.postprocess,
-        budget=config.budget, builtin_methods=config.builtin_methods,
-        workers=config.workers)
-    for unit_result in result.failed_units:
-        print(f"warning: gateway failed for {unit_result.unit.path}: "
-              f"{unit_result.error}", file=sys.stderr)
-
-    save_repository(result.templates, args.out)
     report_dir = Path(args.report_dir) if args.report_dir else Path(f"{args.out}.reports")
     report_dir.mkdir(parents=True, exist_ok=True)
+    accepted: list[Template] = []
+    calls = paths_found = rejected = 0
     directory = os.open(report_dir, os.O_RDONLY | os.O_DIRECTORY)
     try:  # a name opened in the open directory skips a path walk per file
-        for unit_result in result.units:
+        # units arrive one by one and are dropped once their reports are
+        # written; only their accepted templates are kept, for the merge
+        for unit_result in extract_project(
+                files, gateway_config=config.gateway, policy=config.postprocess,
+                budget=config.budget, builtin_methods=config.builtin_methods,
+                workers=config.workers):
             name = unit_result.unit.class_name
             _write_file(f"{name}.report.txt", unit_result.report_text.encode("utf-8"),
                         directory)
             _write_file(f"{name}.report.json",
                         _json_bytes(unit_result.report.to_dict()), directory)
+            if unit_result.error is not None:
+                print(f"warning: gateway failed for {unit_result.unit.path}: "
+                      f"{unit_result.error}", file=sys.stderr)
+            calls += len(unit_result.enumerations)
+            paths_found += sum(len(e.paths) for e in unit_result.enumerations)
+            rejected += len(unit_result.rejected)
+            accepted += unit_result.accepted
     finally:
         os.close(directory)
 
-    calls = sum(len(u.enumerations) for u in result.units)
-    paths_found = sum(len(e.paths) for u in result.units for e in u.enumerations)
-    accepted = sum(len(u.accepted) for u in result.units)
-    rejected = sum(len(u.rejected) for u in result.units)
+    templates = merge_templates(accepted)
+    save_repository(templates, args.out)
     elapsed = time.perf_counter() - started
     print(f"{len(files)} of {len(paths)} files parsed, {calls} log calls, "
-          f"{paths_found} paths, {accepted} accepted, {rejected} rejected, "
-          f"{len(result.templates)} templates -> {args.out} ({elapsed:.3f}s)")
+          f"{paths_found} paths, {len(accepted)} accepted, {rejected} rejected, "
+          f"{len(templates)} templates -> {args.out} ({elapsed:.3f}s)")
     return EXIT_OK
 
 
@@ -299,7 +303,8 @@ def cmd_parse(args: argparse.Namespace) -> int:
         except KeyboardInterrupt:
             interrupted = True
     if args.append_blackbox and not interrupted:
-        appended = append_repository(tree.export_templates(), args.repo)
+        appended = append_repository(tree.export_templates(), args.repo,
+                                     (entry.template.body for entry in compiled.entries))
         print(f"appended {appended} black-box templates to {args.repo}")
 
     print(f"{counts.total} lines: {counts.matched} matched, {counts.routed} routed, "

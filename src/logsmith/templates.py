@@ -183,16 +183,17 @@ def save_repository(templates: Iterable[Template], path: str | Path) -> None:
             handle.write(json.dumps(template.to_record(), ensure_ascii=False) + "\n")
 
 
-def append_repository(templates: Iterable[Template], path: str | Path) -> int:
-    """Append templates to a repository file, skipping bodies already present;
+def append_repository(templates: Iterable[Template], path: str | Path,
+                      present: Iterable[TemplateBody]) -> int:
+    """Append templates to a repository file, skipping the bodies ``present``
+    in it already, which the caller has read, and repeats among ``templates``;
     the first starts a new line if the file's last line has no newline.
 
     Returns the number of templates actually appended.
     """
     path = Path(path)
-    existing, separator = set(), ""
+    existing, separator = set(present), ""
     if path.exists():
-        existing = {t.body for t in load_repository(path)}
         with open(path, "rb") as handle:  # only the last byte
             handle.seek(max(handle.seek(0, os.SEEK_END) - 1, 0))
             separator = "" if handle.read(1) in (b"", b"\n") else "\n"

@@ -7,7 +7,6 @@ repository-ready templates.
 """
 
 from .extract import (
-    ProjectExtraction,
     ProjectFile,
     UnitExtraction,
     extract_project,
@@ -40,7 +39,6 @@ __all__ = [
     "MockGateway",
     "PROMPT_TEMPLATE",
     "PostProcessPolicy",
-    "ProjectExtraction",
     "ProjectFile",
     "Rejection",
     "RetriesExhausted",

@@ -10,8 +10,10 @@ black-box path; they never abort the project run.
 
 from __future__ import annotations
 
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from ..analyzer import (
     DEFAULT_BUILTIN_METHODS,
@@ -24,20 +26,20 @@ from ..analyzer import (
     build_report,
     render_report,
 )
-from ..templates import Template, merge_templates
+from ..templates import Template
 from .gateway import GatewayConfig, GatewayError, invoke_gateway, make_gateway
 from .postprocess import PostProcessPolicy, Rejection, post_process
 from .prompt import build_prompt
 from .responses import parse_response
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProjectFile:
     unit: SourceUnit
     text: str
 
 
-@dataclass
+@dataclass(slots=True)
 class UnitExtraction:
     unit: SourceUnit
     enumerations: list[PathEnumeration]
@@ -46,16 +48,6 @@ class UnitExtraction:
     accepted: list[Template] = field(default_factory=list)
     rejected: list[Rejection] = field(default_factory=list)
     error: str | None = None
-
-
-@dataclass
-class ProjectExtraction:
-    units: list[UnitExtraction]
-    templates: list[Template]
-
-    @property
-    def failed_units(self) -> list[UnitExtraction]:
-        return [u for u in self.units if u.error is not None]
 
 
 def extract_unit(entry: ProjectFile, project: dict[str, ProjectFile],
@@ -98,12 +90,15 @@ def extract_project(files: list[ProjectFile], gateway=None, *,
                     policy: PostProcessPolicy = PostProcessPolicy(),
                     budget: PathBudget = PathBudget(),
                     builtin_methods=DEFAULT_BUILTIN_METHODS,
-                    workers: int = 1) -> ProjectExtraction:
-    """Run extraction over every parsed file and merge the accepted templates.
+                    workers: int = 1) -> Iterator[UnitExtraction]:
+    """Yield each parsed file's extraction, in input order.
 
-    With ``workers > 1``, units are extracted concurrently (the parsed
-    project is immutable and gateways are called at most ``workers`` at a
-    time); results keep the input file order either way.
+    One call graph over all files resolves helper calls, and a unit's paths
+    are enumerated only when that unit is reached, so what is held beyond
+    the parsed project is the units in flight. With ``workers > 1``, units
+    are extracted concurrently (the parsed project is immutable and gateways
+    are called at most ``workers`` at a time), and at most ``2 * workers``
+    units are started ahead of the one yielded.
     """
     analyses = analyze_project([f.unit for f in files], budget, builtin_methods)
     project = {f.unit.fqn: f for f in files}
@@ -114,10 +109,17 @@ def extract_project(files: list[ProjectFile], gateway=None, *,
         return extract_unit(entry, project, enumerations, gateway,
                             gateway_config=gateway_config, policy=policy)
 
-    if workers > 1 and len(files) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            units = list(pool.map(run_one, files, analyses))
-    else:
-        units = list(map(run_one, files, analyses))
-    templates = merge_templates(t for unit_result in units for t in unit_result.accepted)
-    return ProjectExtraction(units=units, templates=templates)
+    if workers == 1 or len(files) < 2:
+        yield from map(run_one, files, analyses)
+        return
+    pool = ThreadPoolExecutor(max_workers=workers)
+    pending = deque()
+    try:
+        for entry, enumerations in zip(files, analyses):
+            pending.append(pool.submit(run_one, entry, enumerations))
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:  # a caller that stops early starts no further unit
+        pool.shutdown(cancel_futures=True)

@@ -41,7 +41,7 @@ def build_verifier_prompt(template_text: str) -> str:
     return f"{_VERIFIER_HEAD}{template_text}\n"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GatewayConfig:
     endpoint: str = "mock:"
     model: str = "mock-extractor"

@@ -21,7 +21,7 @@ REASON_LOW_CONSTANT_TOKEN_RATIO = "low-constant-token-ratio"
 REASON_VERIFIER_REJECTED = "verifier-rejected"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PostProcessPolicy:
     min_const_chars: int = 3
     min_const_token_ratio: float = 0.25
@@ -34,7 +34,7 @@ class PostProcessPolicy:
             raise ValueError("min_const_token_ratio must be in [0, 1]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rejection:
     template: str
     reason: str

@@ -25,7 +25,7 @@ class MalformedResponse(Exception):
     """No well-formed record array could be located in the response text."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExtractedTemplate:
     method: str
     template: str

@@ -26,7 +26,7 @@ from logsmith.analyzer import (
 from logsmith.blackbox import CLUSTER_WILDCARD, ClusterTree
 from logsmith.evaluation import score
 from logsmith.matcher import compile_repository, run_stream
-from logsmith.templates import Template, TemplateBody
+from logsmith.templates import Template, TemplateBody, merge_templates
 from logsmith.whitebox import (
     MockGateway,
     PostProcessPolicy,
@@ -69,8 +69,9 @@ def test_criterion_1_worked_example(capsys):
         assert report.total_paths == 4, f"expected 4 paths, saw {report.total_paths}"
 
         files = [ProjectFile(unit=unit, text=texts[unit.fqn]) for unit in units]
-        result = extract_project(files, gateway=MockGateway())
-        produced = {t.body.render(): t.level for t in result.templates}
+        templates = merge_templates(t for unit in extract_project(files, gateway=MockGateway())
+                                    for t in unit.accepted)
+        produced = {t.body.render(): t.level for t in templates}
         assert produced == {
             "User_<.*>_NotFound": "error",
             "Invalid_User_ID<.*>": "error",

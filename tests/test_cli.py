@@ -16,8 +16,8 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logsmith import evaluation
-from logsmith.analyzer import paths
+from logsmith import cli, evaluation, templates
+from logsmith.analyzer import parse_source, paths
 from logsmith.analyzer.parser import MAX_NESTING
 from logsmith.analyzer.paths import MAX_CALL_DEPTH
 from logsmith.cli import (
@@ -426,12 +426,23 @@ def test_parse_append_blackbox(repo_path, tmp_path, capsys):
     assert len(load_repository(repo_path)) == 5
 
 
-def test_append_blackbox_to_a_repository_without_a_final_newline(tmp_path, capsys):
+def test_append_blackbox_to_a_repository_without_a_final_newline(tmp_path, capsys,
+                                                                monkeypatch):
     repo = tmp_path / "repo.jsonl"
     repo.write_bytes(b'{"template": "alpha <.*> done"}')
     log = tmp_path / "app.log"
     log.write_text("beta 1 gone\nbeta 2 gone\n", encoding="utf-8")
+    loads = []
+
+    def counting_load(path):
+        loads.append(path)
+        return load_repository(path)
+
+    # the repository is decoded once: the append takes its bodies from the parse
+    monkeypatch.setattr(cli, "load_repository", counting_load)
+    monkeypatch.setattr(templates, "load_repository", counting_load)
     assert main(["parse", str(repo), str(log), "--append-blackbox"]) == EXIT_OK
+    assert loads == [str(repo)]
     assert "appended 1 black-box templates" in capsys.readouterr().out
     assert repo.read_bytes().startswith(b'{"template": "alpha <.*> done"}\n{')
     assert main(["parse", str(repo), str(log)]) == EXIT_OK
@@ -1041,3 +1052,59 @@ def test_extract_workers_match_serial_run(tmp_path, capsys, corpus):
     pooled = _extract_outputs(project_dir, tmp_path / "pooled", ["--workers", "3"])
     assert serial[0] and serial[1]
     assert pooled == serial
+
+
+def _logging_project(directory: Path, names) -> Path:
+    """One class per name, each with one log call of its own."""
+    directory.mkdir()
+    for name in names:
+        (directory / f"{name}.java").write_text(
+            f'package p;\nclass {name} {{\n  void f() {{ log.info("{name} ran"); }}\n}}\n',
+            encoding="utf-8")
+    return directory
+
+
+class _RecordingGateway(MockGateway):
+    """The mock, recording at each prompt the files then in ``report_dir``."""
+
+    def __init__(self, report_dir: Path | None = None):
+        super().__init__()
+        self.report_dir = report_dir
+        self.seen: list[set[str]] = []
+
+    def send(self, prompt: str) -> str:
+        present = self.report_dir is not None and self.report_dir.is_dir()
+        self.seen.append(set(os.listdir(self.report_dir)) if present else set())
+        return super().send(prompt)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_extract_project_enumerates_and_sends_as_units_are_pulled(tmp_path, workers):
+    names = [f"C{index:02d}" for index in range(12)]
+    project = _logging_project(tmp_path / "project", names)
+    files = [extract.ProjectFile(unit=parse_source(path.read_text(), str(path)),
+                                 text=path.read_text())
+             for path in sorted(project.glob("*.java"))]
+    recording = _RecordingGateway()
+    units = extract.extract_project(files, recording, workers=workers)
+    assert recording.seen == []  # nothing runs before the first unit is pulled
+    first = next(units)
+    # one unit at a time, or a window of 2 * workers units in flight
+    assert 1 <= len(recording.seen) <= (1 if workers == 1 else 2 * workers)
+    rest = list(units)
+    assert [unit.unit.class_name for unit in [first] + rest] == names
+    assert len(recording.seen) == len(names)
+
+
+def test_extract_writes_each_units_reports_before_the_next_prompt(tmp_path, monkeypatch):
+    names = ["A", "B", "C", "D", "E"]
+    project = _logging_project(tmp_path / "project", names)
+    reports = tmp_path / "reports"
+    recording = _RecordingGateway(reports)
+    monkeypatch.setattr(extract, "make_gateway", lambda *args: recording)
+    assert main(["extract", str(project), "--out", str(tmp_path / "repo.jsonl"),
+                 "--report-dir", str(reports)]) == EXIT_OK
+    assert len(recording.seen) == len(names)
+    for done, (name, present) in enumerate(zip(names, recording.seen)):
+        assert present == {f"{earlier}.report.{kind}" for earlier in names[:done]
+                           for kind in ("txt", "json")}, name

@@ -154,19 +154,17 @@ def test_deeply_nested_reply_fails_its_unit_only():
     units, texts = parse_project(EXAMPLE_PROJECT)
     files = [ProjectFile(unit=unit, text=texts[unit.fqn]) for unit in units]
     gateway = _FlakyGateway(failures=0, response=reply)
-    result = extract_project(files, gateway, gateway_config=GatewayConfig(max_retries=1))
-    (failed,) = result.failed_units
-    assert failed.unit.class_name == "Foo"
-    assert "gave up after 2 attempts" in failed.error
+    bar, foo = extract_project(files, gateway, gateway_config=GatewayConfig(max_retries=1))
+    assert bar.error is None and bar.accepted == foo.accepted == []
+    assert "gave up after 2 attempts" in foo.error
     assert gateway.calls == 2
-    assert result.templates == []
 
 
 def test_unit_without_log_calls_makes_no_gateway_call():
     units, texts = parse_project(EXAMPLE_PROJECT)
     files = [ProjectFile(unit=unit, text=texts[unit.fqn]) for unit in units]
     gateway = _FlakyGateway(failures=0)
-    bar, foo = extract_project(files, gateway).units
+    bar, foo = extract_project(files, gateway)
     assert gateway.calls == 1
     assert bar.enumerations == [] and bar.accepted == [] and bar.error is None
     assert bar.report_text.startswith("Extracted 0 log calls")
@@ -261,8 +259,7 @@ def test_http_reply_without_string_content_fails_its_unit(monkeypatch, content):
     units, texts = parse_project(EXAMPLE_PROJECT)
     files = [ProjectFile(unit=unit, text=texts[unit.fqn]) for unit in units]
     posts.clear()
-    result = extract_project(files, HttpGateway(config), gateway_config=config)
-    (failed,) = result.failed_units
-    assert failed.unit.class_name == "Foo"
-    assert "gave up after 2 attempts: unexpected response shape" in failed.error
-    assert len(posts) == 2 and result.templates == []
+    bar, foo = extract_project(files, HttpGateway(config), gateway_config=config)
+    assert bar.error is None and bar.accepted == foo.accepted == []
+    assert "gave up after 2 attempts: unexpected response shape" in foo.error
+    assert len(posts) == 2

@@ -7,11 +7,17 @@ encoder.
 
 Package ``__init__.py`` files are exempt from the import check: their imports
 are re-exports, which do not count as uses of a public name either.
+
+Every dataclass of the analyzer and the extraction layer is slotted: a parsed
+project holds one of them per syntax node, so none may carry a ``__dict__``.
 """
 
 from __future__ import annotations
 
 import ast
+import dataclasses
+import importlib
+import types
 from pathlib import Path
 
 import pytest
@@ -232,3 +238,65 @@ def test_module_writes_no_indented_json_itself(path):
 ])
 def test_indented_json_calls_reads_attribute_and_imported_calls(source, found):
     assert indented_json_calls(source) == found
+
+
+SLOTTED_PACKAGES = ("analyzer", "whitebox")
+
+
+def unslotted_dataclasses(modules) -> list[str]:
+    """The dataclasses defined in ``modules`` that declare no ``__slots__``, or
+    whose instances get a ``__dict__`` all the same, from a base class."""
+    found = []
+    for module in modules:
+        for name, value in vars(module).items():
+            if (isinstance(value, type) and dataclasses.is_dataclass(value)
+                    and value.__module__ == module.__name__
+                    and ("__slots__" not in vars(value)
+                         or any("__dict__" in vars(base) for base in value.__mro__))):
+                found.append(f"{module.__name__}.{name}")
+    return found
+
+
+def _slotted_modules() -> list:
+    return [importlib.import_module(f"logsmith.{package}.{path.stem}")
+            for package in SLOTTED_PACKAGES
+            for path in sorted((PACKAGE / package).glob("*.py"))]
+
+
+def test_analyzer_and_whitebox_dataclasses_are_slotted():
+    modules = _slotted_modules()
+    assert len(modules) == len([path for package in SLOTTED_PACKAGES
+                                for path in (PACKAGE / package).glob("*.py")])
+    assert unslotted_dataclasses(modules) == []
+
+
+def test_instances_of_the_parsed_project_have_no_dict():
+    from logsmith.analyzer import parse_source
+    from logsmith.whitebox import MockGateway, ProjectFile, extract_project
+    from conftest import EXAMPLE_PROJECT
+
+    texts = [path.read_text(encoding="utf-8") for path in sorted(EXAMPLE_PROJECT.glob("*.java"))]
+    files = [ProjectFile(unit=parse_source(text), text=text) for text in texts]
+    _, foo = extract_project(files, MockGateway())
+    enumeration = foo.enumerations[0]
+    path = enumeration.paths[0]
+    values = [files[0], foo, foo.unit, foo.unit.methods[0], foo.unit.methods[0].body[0],
+              foo.report, enumeration, enumeration.site, enumeration.site.call, path,
+              path.steps[0]]
+    assert [type(value).__name__ for value in values if hasattr(value, "__dict__")] == []
+
+
+@pytest.mark.parametrize("source, found", [
+    ("@dataclass(frozen=True)\nclass Planted:\n    x: int\n", ["planted.Planted"]),
+    ("@dataclass(slots=True)\nclass Planted:\n    x: int\n", []),
+    ("class Base:\n    pass\n@dataclass(slots=True)\nclass Planted(Base):\n    x: int\n",
+     ["planted.Planted"]),
+    ("class Planted:\n    x: int\n", []),
+])
+def test_unslotted_dataclasses_finds_a_planted_dataclass(source, found):
+    module = types.ModuleType("planted")
+    code = compile("from dataclasses import dataclass\n" + source, "planted", "exec",
+                   dont_inherit=True)  # no string annotations, which need sys.modules
+    exec(code, vars(module))
+    assert unslotted_dataclasses([module]) == found
+    assert unslotted_dataclasses(_slotted_modules() + [module]) == found

@@ -25,6 +25,18 @@ from conftest import EXAMPLE_PROJECT
 from generator import generate_project
 
 
+def test_an_identifier_is_one_object_across_files():
+    first = parse_source('package p;\nclass A {\n  void run(String userName) '
+                         '{ log.info("user " + userName); }\n}\n', "A.java")
+    second = parse_source("package p;\nclass B {\n  String run(String userName) "
+                          "{ return userName; }\n}\n", "B.java")
+    (a_run,), (b_run,) = first.methods, second.methods
+    assert a_run.name is b_run.name
+    assert a_run.params[0][0] is b_run.params[0][0] is b_run.body[0].value.name
+    assert a_run.params[0][1] is b_run.return_type  # "String"
+    (site,) = find_log_calls(first)
+    assert site.args[0].right.name is b_run.params[0][0]
+
 def test_parse_foo_listing():
     unit = parse_source((EXAMPLE_PROJECT / "Foo.java").read_text(), "Foo.java")
     assert unit.package == "com.example"

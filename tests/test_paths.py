@@ -267,7 +267,7 @@ def test_analyze_project_agrees_with_per_site_enumeration():
                    key=lambda site: (site.unit.path, site.line))
     expected = [_summary(enumerate_paths(site, graph, budget, builtins))
                 for site in sites]
-    analyses = analyze_project(units, budget, builtins)
+    analyses = list(analyze_project(units, budget, builtins))
     assert len(analyses) == len(units)
     assert [_summary(e) for enumerations in analyses for e in enumerations] == expected
     # the budget and the built-in names each reach the enumeration

@@ -139,7 +139,7 @@ def test_append_repository_skips_existing(tmp_path):
     save_repository([first], path)
     duplicate = Template(body=TemplateBody.parse("a_<.*>"), source="blackbox")
     fresh = Template(body=TemplateBody.parse("b_<.*>"))
-    assert append_repository([duplicate, fresh], path) == 1
+    assert append_repository([duplicate, fresh], path, [first.body]) == 1
     assert [t.body.render() for t in load_repository(path)] == ["a_<.*>", "b_<.*>"]
 
 
@@ -152,7 +152,8 @@ def test_append_repository_starts_the_next_record_on_a_new_line(tmp_path, conten
                                                                   expected):
     path = tmp_path / "repo.jsonl"
     path.write_bytes(content)
-    assert append_repository([Template(body=TemplateBody.parse("b"))], path) == 1
+    present = [t.body for t in load_repository(path)]
+    assert append_repository([Template(body=TemplateBody.parse("b"))], path, present) == 1
     assert path.read_bytes().startswith(expected)
     assert path.read_bytes().endswith(b"}\n")
     assert [t.body.render() for t in load_repository(path)] == (
