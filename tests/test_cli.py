@@ -866,6 +866,12 @@ def test_write_file_finishes_after_short_writes(tmp_path, monkeypatch):
     assert path.read_bytes() == b"0123456789\n"
 
 
+def test_write_file_writes_to_a_device(tmp_path, capsys):
+    _write_file(os.devnull, b"0123456789\n")
+    assert main(["report", str(EXAMPLE_PROJECT), "--out", os.devnull,
+                 "--json", os.devnull]) == EXIT_OK
+
+
 def test_report_stdout_matches_golden(capsys):
     assert main(["report", str(EXAMPLE_PROJECT)]) == EXIT_OK
     assert capsys.readouterr().out == GOLDEN_REPORT.read_text(encoding="utf-8")
