@@ -18,19 +18,26 @@ the message's token or a wildcard. Each leaf splits positions in two:
   inverted index from token to the clusters holding it, and the list of
   clusters holding ``<*>``.
 
-Ingest counts the index hits of the message's free tokens. A cluster with
-no hit ties every other such cluster at the fixed-position count, so the
-first of them stands for all. The cost of a line is O(tokens + hits), not
-O(tokens × clusters in the leaf) as a scan of the leaf would be, and
-never more than that scan. A leaf builds its index with its second
-cluster; until then it compares with its one cluster directly, which
-costs less time and memory, and most leaves never get a second.
+Ingest counts the index hits of the message's free tokens in a dict. A
+cluster with no hit ties every other such cluster at the fixed-position
+count, so the first of them stands for all. The cost of a line is
+O(tokens + hits), not O(tokens × clusters in the leaf) as a scan of the
+leaf would be, and never more than that scan.
+
+Most leaves never get a second cluster, so a leaf builds its index only
+with its second one, from the path's free positions, which it finds by
+walking the path again; the walk down keeps no record of the path. Until
+then ``ingest`` compares the message with the leaf's one cluster and
+merges it inline. When no message token is ``<*>`` itself, the agreeing
+positions are the equal ones plus the template's wildcards, counted in C.
+An alphabetic token holds no digit, so only other path tokens take the
+digit test.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
+from operator import eq
 
 from .templates import Template, TemplateBody, WILD
 
@@ -41,7 +48,7 @@ class EmptyMessage(Exception):
     """Raised for all-whitespace input, which forms no cluster."""
 
 
-@dataclass
+@dataclass(slots=True)
 class Cluster:
     cluster_id: int
     template_tokens: list[str]
@@ -62,40 +69,40 @@ class _Node:
     wildcards: list[list[int]] | None = None
 
     def best(self, tokens: list[str]) -> tuple[int, int]:
-        """(index, positions agreeing) of the most similar cluster.
+        """(index, positions agreeing) of the most similar indexed cluster.
 
         Ties go to the cluster created first, as a left-to-right scan with
         a strict ``>`` would pick.
         """
-        if self.postings is None:
-            return 0, sum(1 for ours, theirs in zip(self.clusters[0].template_tokens, tokens)
-                          if ours == theirs or ours == CLUSTER_WILDCARD)
-        fixed = len(tokens) - len(self.free)
-        counts: Counter = Counter()
+        counts: dict[int, int] = {}
+        get = counts.get
         for position, posting, wildcards in zip(self.free, self.postings, self.wildcards):
             holders = posting.get(tokens[position])
             if type(holders) is int:
-                counts[holders] += 1
+                counts[holders] = get(holders, 0) + 1
             elif holders is not None:
-                counts.update(holders)
-            if wildcards:
-                counts.update(wildcards)
+                for index in holders:
+                    counts[index] = get(index, 0) + 1
+            for index in wildcards:
+                counts[index] = get(index, 0) + 1
+        fixed = len(tokens) - len(self.free)
         if not counts:
             return 0, fixed
         top = max(counts.values())
         return min(index for index, count in counts.items() if count == top), fixed + top
 
-    def add(self, cluster: Cluster, keys: list[str]) -> None:
-        """Append ``cluster``; ``keys`` is the leaf's path."""
+    def add(self, cluster: Cluster) -> None:
         self.clusters.append(cluster)
-        if len(self.clusters) == 2:
-            self.free = tuple([i for i, key in enumerate(keys) if key == CLUSTER_WILDCARD]
-                              + list(range(len(keys), len(cluster.template_tokens))))
-            self.postings = [{} for _ in self.free]
-            self.wildcards = [[] for _ in self.free]
-            self._post(0)
         if self.postings is not None:
             self._post(len(self.clusters) - 1)
+
+    def index(self, free: tuple[int, ...]) -> None:
+        """Build the leaf index over the ``free`` positions."""
+        self.free = free
+        self.postings = [{} for _ in free]
+        self.wildcards = [[] for _ in free]
+        for index in range(len(self.clusters)):
+            self._post(index)
 
     def _post(self, index: int) -> None:
         tokens = self.clusters[index].template_tokens
@@ -113,15 +120,10 @@ class _Node:
                 holders.append(index)
 
     def merge(self, index: int, tokens: list[str]) -> Cluster:
-        """Generalize cluster ``index`` to ``tokens``."""
+        """Generalize indexed cluster ``index`` to ``tokens``."""
         cluster = self.clusters[index]
         cluster.match_count += 1
         template = cluster.template_tokens
-        if self.postings is None:
-            for position, token in enumerate(tokens):
-                if template[position] != token:
-                    template[position] = CLUSTER_WILDCARD
-            return cluster
         # fixed positions agree, so only free ones can generalize
         for position, posting, wildcards in zip(self.free, self.postings, self.wildcards):
             ours = template[position]
@@ -166,36 +168,68 @@ class ClusterTree:
         node = self.root.get(len(tokens))
         if node is None:
             node = self.root[len(tokens)] = _Node()
-        keys = []
         for token in tokens[:self.depth - 1]:
-            key = self._child_key(node, token)
-            keys.append(key)
-            child = node.children.get(key)
+            children = node.children
+            # an alphabetic token holds no digit, so it skips the digit test
+            if not token.isalpha() and any(map(str.isdigit, token)):
+                token = CLUSTER_WILDCARD
+            # reserve headroom: past the cap, unseen tokens share the catch-all
+            elif token not in children and (len(children) - (CLUSTER_WILDCARD in children)
+                                            >= self.max_children):
+                token = CLUSTER_WILDCARD
+            child = children.get(token)
             if child is None:
-                child = node.children[key] = _Node()
+                child = children[token] = _Node()
             node = child
 
-        if node.clusters:
+        clusters = node.clusters
+        if node.postings is not None:
             index, same = node.best(tokens)
             if same / len(tokens) >= self.sim_threshold:
                 cluster = node.merge(index, tokens)
                 return cluster.cluster_id, " ".join(cluster.template_tokens)
+        elif clusters:
+            cluster = clusters[0]
+            template = cluster.template_tokens
+            if CLUSTER_WILDCARD in tokens:
+                same = sum(1 for ours, theirs in zip(template, tokens)
+                           if ours == theirs or ours == CLUSTER_WILDCARD)
+            else:
+                # no token is a wildcard, so one agrees only where it is equal
+                same = sum(map(eq, template, tokens)) + template.count(CLUSTER_WILDCARD)
+            if same / len(tokens) >= self.sim_threshold:
+                cluster.match_count += 1
+                if same < len(tokens):
+                    for position, token in enumerate(tokens):
+                        if template[position] != token:
+                            template[position] = CLUSTER_WILDCARD
+                return cluster.cluster_id, " ".join(template)
 
-        cluster = Cluster(cluster_id=self._next_id, template_tokens=tokens)
+        cluster = Cluster(self._next_id, tokens)
         self._next_id += 1
-        node.add(cluster, keys)
+        node.add(cluster)
+        if len(clusters) == 2:
+            node.index(self._free_positions(tokens))
         self._clusters.append(cluster)
         return cluster.cluster_id, " ".join(tokens)
 
-    def _child_key(self, node: _Node, token: str) -> str:
-        if any(map(str.isdigit, token)):
-            return CLUSTER_WILDCARD
-        if token in node.children:
-            return token
-        # reserve headroom: past the cap, unseen tokens share the catch-all
-        if len(node.children) - (CLUSTER_WILDCARD in node.children) < self.max_children:
-            return token
-        return CLUSTER_WILDCARD
+    def _free_positions(self, tokens: list[str]) -> tuple[int, ...]:
+        """The free positions of the leaf that ``tokens`` reached.
+
+        A token with a digit never becomes a key, so a path token found
+        among its node's children was routed under itself, and any other
+        went under the catch-all.
+        """
+        node = self.root[len(tokens)]
+        path = tokens[:self.depth - 1]
+        free = []
+        for position, token in enumerate(path):
+            child = node.children.get(token)
+            if child is None or token == CLUSTER_WILDCARD:
+                free.append(position)
+                child = node.children[CLUSTER_WILDCARD]
+            node = child
+        return tuple(free) + tuple(range(len(path), len(tokens)))
 
     @property
     def clusters(self) -> list[Cluster]:

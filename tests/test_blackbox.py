@@ -230,7 +230,10 @@ def _similarity(template_tokens: list[str], tokens: list[str]) -> float:
     return same / len(tokens)
 
 
-_TOKENS = st.sampled_from(("a", "b", "c", CLUSTER_WILDCARD, "x1", "7"))
+# "²" and "٣" are digits that are not ASCII, "x²" holds one and "é" is a
+# letter that is not ASCII
+_TOKENS = st.sampled_from(("a", "b", "c", CLUSTER_WILDCARD, "x1", "7",
+                           "²", "٣", "x²", "é"))
 # mostly one length, so that messages meet in a few crowded leaves
 _MESSAGES = st.integers(1, 5).flatmap(lambda length: st.lists(
     st.one_of(st.lists(_TOKENS, min_size=length, max_size=length),
@@ -252,6 +255,44 @@ def test_index_agrees_with_scan_reference(messages, depth, max_children, sim_thr
         (" ".join(WILDCARD_TOKEN if token == CLUSTER_WILDCARD else token
                   for token in tokens), count)
         for _, tokens, count in reference.clusters]
+
+
+def _crowded_stream(rng: random.Random, lines: int) -> list[str]:
+    """Lines of hidden whitespace-separated templates mixed with glued
+    ``key=value`` metrics lines, which all reach one leaf. A metrics line
+    is fresh, or keeps most pairs of one of a few base lines, so that the
+    leaf's clusters share postings, tie and generalize."""
+    keys = [key + glue for key in ("disk", "heap", "queue", "pool") for glue in "=:#"]
+    bases = [[rng.choice(keys) + str(rng.randrange(10 ** 6)) for _ in range(6)]
+             for _ in range(50)]
+    templates = [[rng.choice(("kernel", "quota", "socket")), rng.choice(("read", "sync"))]
+                 + [rng.choice(("ok", "slow", "")) for _ in range(rng.randint(3, 6))]
+                 for _ in range(40)]
+    stream = []
+    for _ in range(lines):
+        if rng.random() < 0.5:
+            stream.append(" ".join(word or str(rng.randrange(100))
+                                   for word in rng.choice(templates)))
+            continue
+        keep = rng.choice((0.0, 0.9))
+        stream.append("gauge pulse " + " ".join(
+            pair if rng.random() < keep else rng.choice(keys) + str(rng.randrange(10 ** 6))
+            for pair in rng.choice(bases)))
+    return stream
+
+
+def test_crowded_leaves_agree_with_scan_reference():
+    # the hypothesis test stops at 60 messages; this stream crowds the
+    # metrics leaf with hundreds of clusters, and a line often ties between
+    # several of them
+    tree = ClusterTree(sim_threshold=0.8)
+    reference = _ScanTree(4, 0.8, 100)
+    for line in _crowded_stream(random.Random(19), 3000):
+        assert tree.ingest(line) == reference.ingest(line), line
+    metrics_leaf = reference.root[8][0]["gauge"][0]["pulse"][0][CLUSTER_WILDCARD]
+    assert len(metrics_leaf[1]) >= 300
+    assert [(c.cluster_id, c.template_tokens, c.match_count) for c in tree.clusters] == [
+        tuple(cluster) for cluster in reference.clusters]
 
 
 def test_generalized_position_counts_for_its_cluster():
