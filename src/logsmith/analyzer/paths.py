@@ -167,6 +167,9 @@ class _Tracer:
         self.conditional = False
         self.external = False
         self.cycles: list[tuple[str, ...]] = []
+        # callee source per helper key: a helper reached on several branch
+        # combinations of this site is rendered once
+        self.sources: dict[tuple[str, str, int], str] = {}
 
     def expr(self, expr, unit: SourceUnit, method: MethodDecl,
              stack: tuple) -> Iterator[_Alt]:
@@ -196,11 +199,14 @@ class _Tracer:
             return
 
         key = target.key
+        source = self.sources.get(key)
+        if source is None:
+            source = self.sources[key] = method_to_source(target.method)
         step = PathStep(
             class_fqn=target.unit.fqn,
             call_code=code,
             callee_kind=KIND_USER,
-            callee_source=method_to_source(target.method),
+            callee_source=source,
         )
         if key in stack:
             chain = stack[stack.index(key):] + (key,)

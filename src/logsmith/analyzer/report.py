@@ -101,7 +101,9 @@ def render_report(report: StaticReport) -> str:
                 lines.append(f"     Call code: {step.call_code}")
                 if step.callee_kind == KIND_USER:
                     lines.append("     Callee information:")
-                    for source_line in (step.callee_source or "").splitlines():
+                    # method_to_source joins lines with "\n" alone; a literal
+                    # may hold other characters that str.splitlines() breaks at
+                    for source_line in step.callee_source.split("\n"):
                         lines.append(f"       {source_line}" if source_line else "")
                 else:
                     lines.append(f"     Callee information: {_KIND_TEXT[step.callee_kind]}")

@@ -3,8 +3,11 @@
 The analyzer front end covers a small object-oriented subset: one class per
 file with a package declaration and imports, static or instance methods,
 if/else statements, returns, string literals, identifiers, ``+``
-concatenation and method calls. Everything here is an immutable value; the
-pretty printers below produce the canonical source text used in reports.
+concatenation and method calls. No stage changes a tree once it is parsed.
+Units and methods are frozen; expression and statement nodes are not, since
+a frozen instance costs about twice as much to build and the parser builds
+one per node. Nothing hashes a node. The pretty printers below produce the
+canonical source text used in reports.
 """
 
 from __future__ import annotations
@@ -14,23 +17,23 @@ from dataclasses import dataclass
 
 # --- expressions ---
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class StrLit:
     text: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Ident:
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Concat:
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Call:
     # receiver is None for bare same-class calls; an Ident receiver may name
     # either a variable or a class (resolution decides later).
@@ -45,19 +48,19 @@ Expr = StrLit | Ident | Concat | Call
 
 # --- statements ---
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class If:
     cond: "Expr"
     then_body: tuple["Stmt", ...]
     else_body: tuple["Stmt", ...]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Return:
     value: "Expr | None"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ExprStmt:
     expr: "Expr"
 
@@ -101,7 +104,10 @@ class SourceUnit:
         return None
 
 
-_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"}
+# The inverse of the lexer's escapes ("'" needs none between double quotes),
+# so a rendered literal lexes back to the same text.
+_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r",
+            "\b": "\\b", "\f": "\\f"}
 
 
 def escape_string(text: str) -> str:

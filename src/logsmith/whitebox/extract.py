@@ -96,9 +96,9 @@ def extract_project(files: list[ProjectFile], gateway=None, *,
     One call graph over all files resolves helper calls, and a unit's paths
     are enumerated only when that unit is reached, so what is held beyond
     the parsed project is the units in flight. With ``workers > 1``, units
-    are extracted concurrently (the parsed project is immutable and gateways
-    are called at most ``workers`` at a time), and at most ``2 * workers``
-    units are started ahead of the one yielded.
+    are extracted concurrently (no stage changes the parsed project, and
+    gateways are called at most ``workers`` at a time), and at most
+    ``2 * workers`` units are started ahead of the one yielded.
     """
     analyses = analyze_project([f.unit for f in files], budget, builtin_methods)
     project = {f.unit.fqn: f for f in files}

@@ -71,6 +71,8 @@ def test_backslash_newline_in_string_is_rejected_at_its_line(text):
     ("a // c", [("ident", "a", 1), ("eof", "", 1)]),
     ("/* a\n b\n */ x", [("ident", "x", 3), ("eof", "", 3)]),
     ("/*\n\n*/ #", "line 3: unexpected character '#'"),
+    ("a /*/", "line 1: unterminated block comment"),
+    ("a /**", "line 1: unterminated block comment"),
 ])
 def test_edge_cases_agree_with_reference(text, expected):
     assert _lex(text) == expected
@@ -90,13 +92,21 @@ def _cpu_seconds(call) -> float:
 @pytest.mark.parametrize("text, message", [
     ("/* " * 100_000, "line 1: unterminated block comment"),
     ('"' + "a" * 10**6, "line 1: unterminated string literal"),
-], ids=["block-comment-openers", "unterminated-string"])
+    ("#" + "/* " * 100_000, "line 1: unexpected character '#'"),
+    ('"' + '\\"' * 300_000, "line 1: unterminated string literal"),
+    ('a"bc\n' * 100_000, "line 1: newline in string literal"),
+    ('"\\' * 300_000, "line 1: dangling escape in string literal"),
+], ids=["block-comment-openers", "unterminated-string", "bad-character-then-openers",
+        "escaped-quotes", "newline-in-every-string", "escape-quote-pairs"])
 def test_lexer_stops_at_first_bad_lexeme(text, message):
-    # Both texts are rejected in time linear in their length. A lexer that
-    # scans the whole text before raising (re.findall) re-scans the rest of
-    # the first text from every "/*", which takes minutes. The failed match of
-    # the string body backtracks once over the second text, which is linear
-    # but takes tens of milliseconds.
+    # Every text is rejected in time linear in its length, although the lexer
+    # splits the whole text with findall before it rejects the first bad
+    # lexeme. That holds only while each regex alternative that scans ahead
+    # consumes what it scanned: if an unterminated "/*" or string literal fell
+    # back to a one-character lexeme, findall would scan on from every opener
+    # or quote to the end of the text, which takes minutes on the openers and
+    # on both escaped-quote texts. The newline text is 300,000 lexemes, all
+    # split before its first one is rejected.
     def reject():
         with pytest.raises(SourceSyntaxError) as caught:
             parse_source(text)

@@ -19,8 +19,9 @@ from logsmith.analyzer import (
     parse_sources,
 )
 
-from logsmith.analyzer.parser import MAX_NESTING
+from logsmith.analyzer.parser import MAX_NESTING, _tokenize
 
+import reference_parser
 from conftest import EXAMPLE_PROJECT
 from generator import generate_project
 
@@ -80,6 +81,25 @@ def test_string_escapes_unescaped():
         'package p;\nclass X {\n  String g() {\n'
         '    return "a\\n\\t\\"b\\\\";\n  }\n}\n', "X.java")
     assert unit.methods[0].body[0].value.text == 'a\n\t"b\\'
+
+
+# Raw characters and escapes of a literal's body, among them every character
+# that str.splitlines() breaks at
+_LITERAL_PIECES = [
+    "a", " ", "é", "'", "\\'", '\\"', "\\\\", "\\b", "\\f", "\\n", "\\r", "\\t", "\\q",
+    "\b", "\f", "\t", "\r", "\x0b", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_LITERAL_PIECES), max_size=12).map("".join))
+def test_rendered_literal_lexes_back_to_its_text(body):
+    (_, text, _), _ = _tokenize(f'"{body}"')
+    rendered = expr_to_source(StrLit(text))
+    (_, again, _), _ = _tokenize(rendered)
+    assert again == text
+    # every character the lexer reads from an escape is written as one
+    assert not set(rendered) & set("\b\f\n\r\t")
 
 
 def test_comments_are_ignored():
@@ -146,6 +166,40 @@ def test_nesting_is_bounded(shape):
     with pytest.raises(SourceSyntaxError) as error:
         parse_source(source(MAX_NESTING + 1), "X.java")
     assert str(error.value) == "line 4: source nested too deep"
+
+
+def _outcome(parse, text: str):
+    try:
+        return parse(text, "X.java")
+    except SourceSyntaxError as error:
+        return str(error)
+
+
+# Token-level pieces to splice into a generated project: statements, single
+# tokens, else-if chains, and text that starts no token or never ends
+_SPLICE_PIECES = [
+    'log.info("x" + a);', "return a;", "return;", "f(a, g(b));", "a.trim().f(b);", "f(a b",
+    "if (a) log.warn(a); else if (b) return; else f();",
+    "if (a) { return a; } else if (b) { f(); }", "else", "else if (a)",
+    "(", ")", "{", "}", ";", ",", ".", "+", "a", "f(", "if", "return", "class",
+    "package p;", "import q.R;", "static", '"s"', '"\\q"', '"', "\\", "#", "é", "1",
+    "/*", "*/", "// c", "\n", " ",
+]
+_DEEP_PIECES = st.builds(lambda shape, n: _NESTING_SHAPES[shape](n),
+                         st.sampled_from(sorted(_NESTING_SHAPES)),
+                         st.integers(MAX_NESTING - 2, MAX_NESTING + 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10_000), st.integers(0, 60),
+       st.lists(st.one_of(st.sampled_from(_SPLICE_PIECES), _DEEP_PIECES), max_size=6))
+def test_parser_agrees_with_reference(seed, where, pieces):
+    text = "".join(source for _, source in generate_project(seed))
+    lines = text.split("\n")
+    lines.insert(where % (len(lines) + 1), " ".join(pieces))
+    text = "\n".join(lines)
+    assert _outcome(parse_sources, text) == _outcome(reference_parser.parse_sources, text)
+    assert _outcome(parse_source, text) == _outcome(reference_parser.parse_source, text)
 
 
 def test_duplicate_param_names_rejected():
@@ -230,6 +284,18 @@ def test_parse_sources_reads_files_joined_end_to_end(picks):
      "expected 'package', found 'foo'"),
     ("package p;\nclass A {}\npackage q;\nclass B {\n  void f( }\n", 5,
      "expected type name, found '}'"),
+    # one case per token test that the parser makes inline
+    ("package p;\nclass A {\n  void f() return;\n}\n", 3, "expected '{', found 'return'"),
+    ("package p;\nclass A {\n  void f() {\n    g(a b);\n  }\n}\n", 4,
+     "expected ')', found 'b'"),
+    ("package p;\nclass A {\n  void f() {\n    return (a;\n  }\n}\n", 4,
+     "expected ')', found ';'"),
+    ("package p;\nclass A {\n  void f() {\n    g(a)\n  }\n}\n", 5,
+     "expected ';', found '}'"),
+    ("package p;\nclass A {\n  void f() {\n    return a b;\n  }\n}\n", 4,
+     "expected ';', found 'b'"),
+    ("package p;\nclass A {\n  void f() {\n    a.\n  }\n}\n", 5,
+     "expected method name, found '}'"),
 ])
 def test_parse_sources_errors(text, line, message):
     with pytest.raises(SourceSyntaxError) as info:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import pytest
+
 from logsmith.analyzer import (
     UNDEFINED_TEMPLATE,
     StaticReport,
@@ -107,6 +109,23 @@ def test_multiline_callee_source_indentation():
             '           return "B_" + a;\n'
             "         }\n"
             "       }\n") in rendered
+
+
+@pytest.mark.parametrize("literal, rendered", [
+    ('"x\\fy"', '"x\\fy"'),
+    ('"x\\by"', '"x\\by"'),
+    ('"x\x0by"', '"x\x0by"'),
+    ('"x\x85y"', '"x\x85y"'),
+    ('"x\u2028y"', '"x\u2028y"'),
+], ids=["form-feed", "backspace", "raw-vt", "raw-nel", "raw-line-separator"])
+def test_callee_literal_stays_on_its_line(literal, rendered):
+    report = _report_for(
+        "package p;\nclass X {\n  void f(String a) { log.info(g(a)); }\n"
+        f"  String g(String a) {{ return {literal} + a; }}\n}}\n")
+    assert ("     Callee information:\n"
+            "       String g(String a) {\n"
+            f"         return {rendered} + a;\n"
+            "       }\n") in render_report(report)
 
 
 def test_report_ends_with_single_newline(example_sites, example_graph):
