@@ -159,10 +159,12 @@ def _return_branches(stmts: tuple) -> Iterator[tuple]:
 class _Tracer:
     """Traces expressions of one call site; collects the analysis flags."""
 
-    def __init__(self, graph: CallGraph, budget: PathBudget, builtins: frozenset):
+    def __init__(self, graph: CallGraph, budget: PathBudget, builtins: frozenset,
+                 with_steps: bool):
         self.graph = graph
         self.budget = budget
         self.builtins = builtins
+        self.with_steps = with_steps
         self.truncated = False
         self.conditional = False
         self.external = False
@@ -191,23 +193,27 @@ class _Tracer:
              stack: tuple) -> Iterator[_Alt]:
         self.external = True
         target = self.graph.resolve_call(unit, call)
-        code = expr_to_source(call)
         if target is None:
-            kind = KIND_BUILTIN if call.method in self.builtins else KIND_UNKNOWN
-            step = PathStep(_step_class(unit, method, call, self.graph), code, kind)
-            yield ((WILD,), (step,))
+            step = ()
+            if self.with_steps:
+                kind = KIND_BUILTIN if call.method in self.builtins else KIND_UNKNOWN
+                step = (PathStep(_step_class(unit, method, call, self.graph),
+                                 expr_to_source(call), kind),)
+            yield ((WILD,), step)
             return
 
         key = target.key
-        source = self.sources.get(key)
-        if source is None:
-            source = self.sources[key] = method_to_source(target.method)
-        step = PathStep(
-            class_fqn=target.unit.fqn,
-            call_code=code,
-            callee_kind=KIND_USER,
-            callee_source=source,
-        )
+        step = ()
+        if self.with_steps:
+            source = self.sources.get(key)
+            if source is None:
+                source = self.sources[key] = method_to_source(target.method)
+            step = (PathStep(
+                class_fqn=target.unit.fqn,
+                call_code=expr_to_source(call),
+                callee_kind=KIND_USER,
+                callee_source=source,
+            ),)
         if key in stack:
             chain = stack[stack.index(key):] + (key,)
             cycle = tuple(f"{fqn}.{name}" for fqn, name, _ in chain)
@@ -217,7 +223,7 @@ class _Tracer:
             return
         if len(stack) >= self.budget.max_call_depth:
             self.truncated = True
-            yield ((WILD,), (step,))
+            yield ((WILD,), step)
             return
 
         produced = False
@@ -226,19 +232,20 @@ class _Tracer:
                 self.conditional = True
             produced = True
             if ret_expr is None:
-                yield ((), (step,))
+                yield ((), step)
                 continue
             for segs, steps in self.expr(ret_expr, target.unit, target.method,
                                          stack + (key,)):
-                yield (segs, (step,) + steps)
+                yield (segs, step + steps)
         if not produced:
             # callee never returns a value; its contribution is opaque
-            yield ((WILD,), (step,))
+            yield ((WILD,), step)
 
 
 def enumerate_paths(site: LogCallSite, graph: CallGraph,
                     budget: PathBudget = PathBudget(),
-                    builtin_methods=DEFAULT_BUILTIN_METHODS) -> PathEnumeration:
+                    builtin_methods=DEFAULT_BUILTIN_METHODS, *,
+                    with_steps: bool = True) -> PathEnumeration:
     """Enumerate every feasible string-construction path of one call site.
 
     Each path pairs the step chain (logging invocation first, then every
@@ -246,14 +253,19 @@ def enumerate_paths(site: LogCallSite, graph: CallGraph,
     the branch produces. Paths beyond ``budget.max_paths_per_site`` and
     calls deeper than ``budget.max_call_depth`` set the truncation flag;
     call cycles collapse to a wildcard and record the offending chain.
+    ``with_steps=False`` leaves every path's steps empty, for a caller that
+    reads only the template bodies and flags: no call code or callee source
+    is rendered.
     """
-    tracer = _Tracer(graph, budget, frozenset(builtin_methods))
+    tracer = _Tracer(graph, budget, frozenset(builtin_methods), with_steps)
 
-    log_step = PathStep(
-        class_fqn=site.unit.fqn,
-        call_code=expr_to_source(site.call),
-        callee_kind=KIND_LOG,
-    )
+    log_step = ()
+    if with_steps:
+        log_step = (PathStep(
+            class_fqn=site.unit.fqn,
+            call_code=expr_to_source(site.call),
+            callee_kind=KIND_LOG,
+        ),)
 
     literal = site.literal_format
     mismatch = False
@@ -273,7 +285,7 @@ def enumerate_paths(site: LogCallSite, graph: CallGraph,
             tracer.truncated = True
             break
         paths.append(CallPath(
-            steps=(log_step,) + steps,
+            steps=log_step + steps,
             yielded=TemplateBody.from_segments(segments),
         ))
 

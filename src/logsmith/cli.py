@@ -106,10 +106,16 @@ def _load_config(args: argparse.Namespace) -> Config:
 
 
 def _discover(project_dir: str) -> list[Path]:
+    """The files named ``*.java`` under ``project_dir``, in ``sorted`` order of
+    their paths. A directory so named is searched, not listed; a symlink to a
+    file is listed, and one to a directory is not followed."""
     root = Path(project_dir)
     if not root.is_dir():
         raise OSError(f"not a directory: {project_dir}")
-    return sorted(root.rglob("*.java"))
+    found = [os.path.join(directory, name) for directory, _, names in os.walk(root)
+             for name in names if name.endswith(".java")]
+    found.sort(key=lambda path: path.split(os.sep))  # as Paths sort, and cheaper
+    return [Path(path) for path in found]
 
 
 def _parse_files(paths: list[Path]) -> list[ProjectFile]:
@@ -375,57 +381,87 @@ def cmd_report(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _extract_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("project_dir")
+    parser.add_argument("--out", required=True, metavar="REPO",
+                        help="repository output file (JSON lines)")
+    parser.add_argument("--report-dir", metavar="DIR",
+                        help="directory for static reports (default: REPO.reports)")
+    _config_flags(parser)
+    parser.set_defaults(handler=cmd_extract)
+
+
+def _parse_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("repo", help="template repository file")
+    parser.add_argument("log_input", help="log file, or - for stdin")
+    parser.add_argument("--out", metavar="FILE", help="write match results (JSON lines)")
+    parser.add_argument("--append-blackbox", action="store_true",
+                        help="append discovered black-box templates to the repository")
+    _config_flags(parser)
+    parser.set_defaults(handler=cmd_parse)
+
+
+def _eval_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("parsed",
+                        help="templates to score: one per line, or a .jsonl repository")
+    parser.add_argument("truth", help="ground-truth templates, one per line")
+    parser.add_argument("--log-file", metavar="FILE",
+                        help="also time online parsing of this log file")
+    parser.add_argument("--repetitions", type=int, default=10)
+    parser.add_argument("--out", metavar="FILE", help="write the structured report")
+    _config_flags(parser)
+    parser.set_defaults(handler=cmd_eval)
+
+
+def _report_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("project_dir")
+    parser.add_argument("--out", metavar="FILE", help="write the textual report")
+    parser.add_argument("--json", metavar="FILE", help="write the structured report")
+    _config_flags(parser)
+    parser.set_defaults(handler=cmd_report)
+
+
+# Each command's help line and the function that adds its arguments: the one
+# place a command's arguments are defined.
+COMMANDS = {
+    "extract": ("analyze a project and extract templates via the gateway",
+                _extract_arguments),
+    "parse": ("match a log stream against a repository", _parse_arguments),
+    "eval": ("score parsed templates against ground truth", _eval_arguments),
+    "report": ("print the static-analysis report for a project", _report_arguments),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="logsmith",
         description="Extract log templates from source code and parse log streams.")
     commands = parser.add_subparsers(dest="command", required=True)
-
-    extract = commands.add_parser(
-        "extract", help="analyze a project and extract templates via the gateway")
-    extract.add_argument("project_dir")
-    extract.add_argument("--out", required=True, metavar="REPO",
-                         help="repository output file (JSON lines)")
-    extract.add_argument("--report-dir", metavar="DIR",
-                         help="directory for static reports (default: REPO.reports)")
-    _config_flags(extract)
-    extract.set_defaults(handler=cmd_extract)
-
-    parse = commands.add_parser(
-        "parse", help="match a log stream against a repository")
-    parse.add_argument("repo", help="template repository file")
-    parse.add_argument("log_input", help="log file, or - for stdin")
-    parse.add_argument("--out", metavar="FILE", help="write match results (JSON lines)")
-    parse.add_argument("--append-blackbox", action="store_true",
-                       help="append discovered black-box templates to the repository")
-    _config_flags(parse)
-    parse.set_defaults(handler=cmd_parse)
-
-    evaluate = commands.add_parser(
-        "eval", help="score parsed templates against ground truth")
-    evaluate.add_argument("parsed",
-                          help="templates to score: one per line, or a .jsonl repository")
-    evaluate.add_argument("truth", help="ground-truth templates, one per line")
-    evaluate.add_argument("--log-file", metavar="FILE",
-                          help="also time online parsing of this log file")
-    evaluate.add_argument("--repetitions", type=int, default=10)
-    evaluate.add_argument("--out", metavar="FILE", help="write the structured report")
-    _config_flags(evaluate)
-    evaluate.set_defaults(handler=cmd_eval)
-
-    report = commands.add_parser(
-        "report", help="print the static-analysis report for a project")
-    report.add_argument("project_dir")
-    report.add_argument("--out", metavar="FILE", help="write the textual report")
-    report.add_argument("--json", metavar="FILE", help="write the structured report")
-    _config_flags(report)
-    report.set_defaults(handler=cmd_report)
+    for name, (help_text, add_arguments) in COMMANDS.items():
+        add_arguments(commands.add_parser(name, help=help_text))
     return parser
 
 
+def parse_args(argv=None) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, building only the named command's
+    parser when ``argv`` starts with a command name and that parser knows
+    every argument: it is the parser argparse's subcommand action would run
+    on the rest of ``argv``, under the same ``prog``, so it prints the same
+    help and errors. Any other ``argv``, or one with an argument the command
+    does not know, goes through the full parser, which reports it."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"logsmith {argv[0]}")
+        COMMANDS[argv[0]][1](parser)
+        args, extras = parser.parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+        if not extras:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(argv)
     try:
         return args.handler(args)
     except (ConfigError, GroundTruthError, DuplicateTemplate,

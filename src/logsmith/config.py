@@ -12,8 +12,6 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import get_type_hints
 
-import yaml
-
 from .analyzer import DEFAULT_BUILTIN_METHODS, PathBudget
 from .blackbox import ClusterTree
 from .whitebox import GatewayConfig, PostProcessPolicy
@@ -105,6 +103,8 @@ def _section(data: dict, name: str, owner: type, hints: dict[type, dict],
 
 def read_config(path: str | Path) -> dict:
     """The mapping a YAML config file holds (empty for an empty file)."""
+    import yaml  # only a run given a config file pays for this import
+
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:

@@ -11,8 +11,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-import requests
-
 from ..analyzer import (
     DEFAULT_BUILTIN_METHODS,
     PathBudget,
@@ -89,6 +87,8 @@ class HttpGateway:
         self.config = config
 
     def send(self, prompt: str) -> str:
+        import requests  # only a run that sends over HTTP pays for this import
+
         headers = {}
         api_key = os.environ.get(API_KEY_VARIABLE)
         if api_key:
@@ -154,8 +154,8 @@ class MockGateway:
             ExtractedTemplate(method=site.method_fqn, template=path.yielded.render(),
                               level=site.level)
             for site in find_log_calls(units[0])
-            for path in enumerate_paths(site, graph, self.budget,
-                                        self.builtin_methods).paths])
+            for path in enumerate_paths(site, graph, self.budget, self.builtin_methods,
+                                        with_steps=False).paths])
 
 
 def make_gateway(config: GatewayConfig, budget: PathBudget = PathBudget(),

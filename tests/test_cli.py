@@ -196,9 +196,9 @@ def test_mock_enumerates_only_the_log_calls_of_its_own_file(tmp_path, monkeypatc
     enumerated = []
     real = paths.enumerate_paths
 
-    def counting(site, *args):
+    def counting(site, *args, **kwargs):
         enumerated.append(site.method_fqn)
-        return real(site, *args)
+        return real(site, *args, **kwargs)
 
     monkeypatch.setattr(paths, "enumerate_paths", counting)
     monkeypatch.setattr(gateway, "enumerate_paths", counting)
@@ -377,6 +377,35 @@ def test_extract_missing_directory(tmp_path, capsys):
                  str(tmp_path / "repo.jsonl")])
     assert code == EXIT_FATAL
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["extract", "report"])
+def test_directory_named_like_a_source_file_is_searched_not_read(tmp_path, capsys,
+                                                                 command):
+    project = tmp_path / "project"
+    shutil.copytree(EXAMPLE_PROJECT, project)
+    odd = project / "src" / "Odd.java"
+    odd.mkdir(parents=True)
+    (odd / "Inner.java").write_text(
+        "package demo;\n\npublic class Inner {\n  void run() {\n"
+        '    log.info("inner ready");\n  }\n}\n', encoding="utf-8")
+    elsewhere = tmp_path / "Linked.java"
+    elsewhere.write_text("package demo;\n\npublic class Linked {\n}\n", encoding="utf-8")
+    (project / "Linked.java").symlink_to(elsewhere)
+    (project / "lib.java").symlink_to(odd, target_is_directory=True)  # not followed
+    assert [path.relative_to(project).as_posix() for path in cli._discover(str(project))] == [
+        "Bar.java", "Foo.java", "Linked.java", "src/Odd.java/Inner.java"]
+    if command == "extract":
+        code = main(["extract", str(project), "--out", str(tmp_path / "repo.jsonl")])
+    else:
+        code = main(["report", str(project), "--out", str(tmp_path / "report.txt")])
+    assert code == EXIT_OK
+    out, err = capsys.readouterr()
+    assert err == ""
+    if command == "extract":
+        assert out.startswith("4 of 4 files parsed, 3 log calls")
+        assert "inner ready" in {t.body.render() for t in
+                                 load_repository(tmp_path / "repo.jsonl")}
 
 
 def test_parse_stream(repo_path, tmp_path, capsys):
@@ -1023,6 +1052,62 @@ def test_flag_sets_its_field_over_the_config_file(tmp_path, argv, section, key,
     same = load_config(_yaml_config(tmp_path / "same.yaml", section, key, flag_value))
     assert config == same
     assert _flag_config(argv) == same
+
+
+# argv rows for the command-line parser, and whether the full parser must
+# read the row: the command's own parser takes only a row it reads whole.
+ARGV_ROWS = {
+    "extract": (["extract", "proj", "--out", "r.jsonl", "--report-dir", "d",
+                 "--workers", "2", "--builtin-methods", "trim,valueOf"], False),
+    "parse": (["parse", "r.jsonl", "-", "--out", "o.jsonl", "--append-blackbox",
+               "--header-pattern", "^x ", "--config", "c.yaml"], False),
+    "eval": (["eval", "p.txt", "t.txt", "--log-file", "l", "--repetitions", "3",
+              "--out", "e.json", "--tree-depth", "5"], False),
+    "report": (["report", "proj", "--json", "r.json", "--max-call-depth", "3"], False),
+    "help before the command": (["-h", "eval"], True),
+    "help after the command": (["eval", "-h"], False),
+    "help after the positionals": (["report", "proj", "--help"], False),
+    "no argv": ([], True),
+    "unknown command": (["evaluate", "p.txt", "t.txt"], True),
+    "missing positional": (["eval", "p.txt"], False),
+    "extra positional": (["eval", "p.txt", "t.txt", "u.txt"], True),
+    "bad int": (["eval", "p.txt", "t.txt", "--workers", "x"], False),
+    "unknown option": (["eval", "a", "b", "--bogus"], True),
+    "ambiguous option": (["parse", "r", "l", "--he", "x"], False),
+    "abbreviated option": (["eval", "p.txt", "t.txt", "--rep", "3"], False),
+    "option with equals": (["eval", "p.txt", "t.txt", "--out=x"], False),
+    "negated flags": (["extract", "proj", "--out", "r", "--no-enable-verifier",
+                       "--no-allow-empty-inner"], False),
+    "double dash": (["eval", "--", "p.txt", "t.txt"], False),
+    "missing required option": (["extract", "proj"], False),
+}
+
+
+def _parse_outcome(parse, argv, capsys):
+    """(namespace items or exit code, stdout, stderr) of ``parse(argv)``."""
+    try:
+        outcome = list(vars(parse(argv)).items())
+    except SystemExit as exc:
+        outcome = exc.code
+    captured = capsys.readouterr()
+    return outcome, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv, full", ARGV_ROWS.values(), ids=ARGV_ROWS.keys())
+def test_command_parser_agrees_with_the_full_parser(monkeypatch, capsys, argv, full):
+    real = cli.build_parser
+    expected = _parse_outcome(lambda argv: real().parse_args(argv), argv, capsys)
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    assert _parse_outcome(cli.parse_args, argv, capsys) == expected
+    assert built == ([1] if full else [])
+
+
+def test_parse_args_reads_sys_argv_by_default(monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["logsmith", "eval", "p.txt", "t.txt"])
+    args = cli.parse_args()
+    assert (args.command, args.parsed, args.truth) == ("eval", "p.txt", "t.txt")
+    assert args == build_parser().parse_args(sys.argv[1:])
 
 
 def _generated_corpus(directory, seeds):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 import requests
 
+from logsmith.analyzer import build_call_graph, enumerate_paths, find_log_calls, paths
 from logsmith.whitebox import (
     GatewayConfig,
     GatewayTimeout,
@@ -68,6 +69,27 @@ def test_mock_reads_every_file_past_its_comments():
                  + header + marker + (EXAMPLE_PROJECT / "Bar.java").read_text())
     prompt = build_prompt(java_code, "Extracted 2 log calls\n")
     assert MockGateway().send(prompt) == MockGateway().send(_example_prompt())
+
+
+def test_mock_renders_no_path_steps(monkeypatch):
+    # the mock reads only each path's template; the analysis that wrote the
+    # prompt renders every step's call code and callee source
+    rendered = []
+    for name in ("expr_to_source", "method_to_source"):
+        def counting(node, name=name, real=getattr(paths, name)):
+            rendered.append(name)
+            return real(node)
+        monkeypatch.setattr(paths, name, counting)
+    response = MockGateway().send(_example_prompt())
+    assert rendered == []
+    assert [r.template for r in parse_response(response)] == [
+        "User_<.*>_NotFound", "Invalid_User_ID<.*>", "Guest_<.*>", "Unknown_<.*>"]
+
+    units, _ = parse_project(EXAMPLE_PROJECT)
+    graph = build_call_graph(units)
+    for site in (site for unit in units for site in find_log_calls(unit)):
+        enumerate_paths(site, graph)
+    assert set(rendered) == {"expr_to_source", "method_to_source"}
 
 
 @pytest.mark.parametrize("prompt", [

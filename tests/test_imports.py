@@ -10,6 +10,10 @@ are re-exports, which do not count as uses of a public name either.
 
 Every dataclass of the analyzer and the extraction layer is slotted: a parsed
 project holds one of them per syntax node, so none may carry a ``__dict__``.
+
+Importing the CLI loads neither ``requests`` nor ``yaml``: a run pays for the
+HTTP client only when it sends over HTTP, and for the YAML parser only when
+it reads a config file.
 """
 
 from __future__ import annotations
@@ -17,6 +21,9 @@ from __future__ import annotations
 import ast
 import dataclasses
 import importlib
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -300,3 +307,24 @@ def test_unslotted_dataclasses_finds_a_planted_dataclass(source, found):
     exec(code, vars(module))
     assert unslotted_dataclasses([module]) == found
     assert unslotted_dataclasses(_slotted_modules() + [module]) == found
+
+
+_IMPORT_PROBE = """
+import sys
+import logsmith.cli
+loaded = [name for name in ("requests", "yaml") if name in sys.modules]
+config = logsmith.cli.read_config(sys.argv[1])
+print(loaded, config, "yaml" in sys.modules)
+"""
+
+
+def test_cli_import_loads_neither_http_nor_yaml(tmp_path):
+    config = tmp_path / "config.yaml"
+    config.write_text("workers: 2\n", encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(config)],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert run.returncode == 0, run.stderr
+    # nothing at import; the config file is still read as YAML
+    assert run.stdout == "[] {'workers': 2} True\n"

@@ -310,3 +310,15 @@ def test_overloaded_enclosing_method_supplies_its_own_parameter_types():
     assert builtin_step.call_code == "a.name()"
     assert builtin_step.callee_kind == KIND_BUILTIN
     assert builtin_step.class_fqn == "p.Aux"
+
+
+@pytest.mark.parametrize("budget", [PathBudget(), PathBudget(max_call_depth=2,
+                                                              max_paths_per_site=3)])
+def test_enumeration_without_steps_differs_only_in_its_steps(budget):
+    units = _generated_units(range(40))
+    graph = build_call_graph(units)
+    for site in (site for unit in units for site in find_log_calls(unit)):
+        full = _summary(enumerate_paths(site, graph, budget))
+        bare = enumerate_paths(site, graph, budget, with_steps=False)
+        assert all(path.steps == () for path in bare.paths)
+        assert _summary(bare) == full[:3] + ([()] * len(bare.paths),) + full[4:]
