@@ -106,16 +106,13 @@ def _load_config(args: argparse.Namespace) -> Config:
 
 
 def _discover(project_dir: str) -> list[Path]:
-    """The files named ``*.java`` under ``project_dir``, in ``sorted`` order of
-    their paths. A directory so named is searched, not listed; a symlink to a
-    file is listed, and one to a directory is not followed."""
+    """The files named ``*.java`` under ``project_dir``, sorted. A directory so
+    named is searched, not listed; a symlink to a file is listed, and one to a
+    directory is not followed."""
     root = Path(project_dir)
     if not root.is_dir():
         raise OSError(f"not a directory: {project_dir}")
-    found = [os.path.join(directory, name) for directory, _, names in os.walk(root)
-             for name in names if name.endswith(".java")]
-    found.sort(key=lambda path: path.split(os.sep))  # as Paths sort, and cheaper
-    return [Path(path) for path in found]
+    return sorted(path for path in root.rglob("*.java") if not path.is_dir())
 
 
 def _parse_files(paths: list[Path]) -> list[ProjectFile]:
@@ -432,36 +429,28 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser. Given a command name ``only``, the other
+    commands' parsers get no arguments: argparse reads a command's arguments
+    only when it dispatches to that command, and help and usage errors before
+    the command read none of them."""
     parser = argparse.ArgumentParser(
         prog="logsmith",
         description="Extract log templates from source code and parse log streams.")
     commands = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, add_arguments) in COMMANDS.items():
-        add_arguments(commands.add_parser(name, help=help_text))
+        command = commands.add_parser(name, help=help_text)
+        if only is None or only == name:
+            add_arguments(command)
     return parser
 
 
-def parse_args(argv=None) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, building only the named command's
-    parser when ``argv`` starts with a command name and that parser knows
-    every argument: it is the parser argparse's subcommand action would run
-    on the rest of ``argv``, under the same ``prog``, so it prints the same
-    help and errors. Any other ``argv``, or one with an argument the command
-    does not know, goes through the full parser, which reports it."""
-    argv = sys.argv[1:] if argv is None else list(argv)
-    if argv and argv[0] in COMMANDS:
-        parser = argparse.ArgumentParser(prog=f"logsmith {argv[0]}")
-        COMMANDS[argv[0]][1](parser)
-        args, extras = parser.parse_known_args(
-            argv[1:], argparse.Namespace(command=argv[0]))
-        if not extras:
-            return args
-    return build_parser().parse_args(argv)
-
-
 def main(argv=None) -> int:
-    args = parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # no top-level option takes a value, so the first command name in argv is
+    # the command argparse dispatches to, if it dispatches at all
+    command = next((arg for arg in argv if arg in COMMANDS), None)
+    args = build_parser(command).parse_args(argv)
     try:
         return args.handler(args)
     except (ConfigError, GroundTruthError, DuplicateTemplate,

@@ -1054,33 +1054,48 @@ def test_flag_sets_its_field_over_the_config_file(tmp_path, argv, section, key,
     assert _flag_config(argv) == same
 
 
-# argv rows for the command-line parser, and whether the full parser must
-# read the row: the command's own parser takes only a row it reads whole.
+# argv rows for the command-line parser: ``main`` builds the arguments of
+# the command it dispatches to only, and must parse each row as the full
+# parser does, with the same help and errors.
 ARGV_ROWS = {
-    "extract": (["extract", "proj", "--out", "r.jsonl", "--report-dir", "d",
-                 "--workers", "2", "--builtin-methods", "trim,valueOf"], False),
-    "parse": (["parse", "r.jsonl", "-", "--out", "o.jsonl", "--append-blackbox",
-               "--header-pattern", "^x ", "--config", "c.yaml"], False),
-    "eval": (["eval", "p.txt", "t.txt", "--log-file", "l", "--repetitions", "3",
-              "--out", "e.json", "--tree-depth", "5"], False),
-    "report": (["report", "proj", "--json", "r.json", "--max-call-depth", "3"], False),
-    "help before the command": (["-h", "eval"], True),
-    "help after the command": (["eval", "-h"], False),
-    "help after the positionals": (["report", "proj", "--help"], False),
-    "no argv": ([], True),
-    "unknown command": (["evaluate", "p.txt", "t.txt"], True),
-    "missing positional": (["eval", "p.txt"], False),
-    "extra positional": (["eval", "p.txt", "t.txt", "u.txt"], True),
-    "bad int": (["eval", "p.txt", "t.txt", "--workers", "x"], False),
-    "unknown option": (["eval", "a", "b", "--bogus"], True),
-    "ambiguous option": (["parse", "r", "l", "--he", "x"], False),
-    "abbreviated option": (["eval", "p.txt", "t.txt", "--rep", "3"], False),
-    "option with equals": (["eval", "p.txt", "t.txt", "--out=x"], False),
-    "negated flags": (["extract", "proj", "--out", "r", "--no-enable-verifier",
-                       "--no-allow-empty-inner"], False),
-    "double dash": (["eval", "--", "p.txt", "t.txt"], False),
-    "missing required option": (["extract", "proj"], False),
+    "extract": ["extract", "proj", "--out", "r.jsonl", "--report-dir", "d",
+                "--workers", "2", "--builtin-methods", "trim,valueOf"],
+    "parse": ["parse", "r.jsonl", "-", "--out", "o.jsonl", "--append-blackbox",
+              "--header-pattern", "^x ", "--config", "c.yaml"],
+    "eval": ["eval", "p.txt", "t.txt", "--log-file", "l", "--repetitions", "3",
+             "--out", "e.json", "--tree-depth", "5"],
+    "report": ["report", "proj", "--json", "r.json", "--max-call-depth", "3"],
+    "help before the command": ["-h", "eval"],
+    "help after the command": ["eval", "-h"],
+    "help after the positionals": ["report", "proj", "--help"],
+    "no argv": [],
+    "unknown command": ["evaluate", "p.txt", "t.txt"],
+    "missing positional": ["eval", "p.txt"],
+    "extra positional": ["eval", "p.txt", "t.txt", "u.txt"],
+    "bad int": ["eval", "p.txt", "t.txt", "--workers", "x"],
+    "unknown option": ["eval", "a", "b", "--bogus"],
+    "unknown option before the command": ["--bogus", "eval", "p.txt", "t.txt"],
+    "ambiguous option": ["parse", "r", "l", "--he", "x"],
+    "abbreviated option": ["eval", "p.txt", "t.txt", "--rep", "3"],
+    "option with equals": ["eval", "p.txt", "t.txt", "--out=x"],
+    "negated flags": ["extract", "proj", "--out", "r", "--no-enable-verifier",
+                      "--no-allow-empty-inner"],
+    "double dash": ["eval", "--", "p.txt", "t.txt"],
+    "double dash before the command": ["--", "eval", "p.txt", "t.txt"],
+    "command name as a positional": ["report", "eval", "--out", "parse"],
+    "missing required option": ["extract", "proj"],
 }
+
+
+@pytest.fixture
+def handled(monkeypatch):
+    """The namespaces the commands are called with, each command replaced by
+    one that records its namespace and returns EXIT_OK."""
+    seen = []
+    for name in cli.COMMANDS:
+        monkeypatch.setattr(cli, f"cmd_{name}",
+                            lambda args: seen.append(args) or EXIT_OK)
+    return seen
 
 
 def _parse_outcome(parse, argv, capsys):
@@ -1093,19 +1108,18 @@ def _parse_outcome(parse, argv, capsys):
     return outcome, captured.out, captured.err
 
 
-@pytest.mark.parametrize("argv, full", ARGV_ROWS.values(), ids=ARGV_ROWS.keys())
-def test_command_parser_agrees_with_the_full_parser(monkeypatch, capsys, argv, full):
-    real = cli.build_parser
-    expected = _parse_outcome(lambda argv: real().parse_args(argv), argv, capsys)
-    built = []
-    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
-    assert _parse_outcome(cli.parse_args, argv, capsys) == expected
-    assert built == ([1] if full else [])
+@pytest.mark.parametrize("argv", ARGV_ROWS.values(), ids=ARGV_ROWS.keys())
+def test_main_parses_as_the_full_parser(handled, capsys, argv):
+    expected = _parse_outcome(lambda argv: build_parser().parse_args(argv), argv, capsys)
+    assert _parse_outcome(lambda argv: main(argv) == EXIT_OK and handled.pop(),
+                          argv, capsys) == expected
+    assert handled == []
 
 
-def test_parse_args_reads_sys_argv_by_default(monkeypatch):
+def test_main_reads_sys_argv_by_default(monkeypatch, handled):
     monkeypatch.setattr(sys, "argv", ["logsmith", "eval", "p.txt", "t.txt"])
-    args = cli.parse_args()
+    assert main() == EXIT_OK
+    (args,) = handled
     assert (args.command, args.parsed, args.truth) == ("eval", "p.txt", "t.txt")
     assert args == build_parser().parse_args(sys.argv[1:])
 
