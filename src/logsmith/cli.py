@@ -106,9 +106,9 @@ def _load_config(args: argparse.Namespace) -> Config:
 
 
 def _discover(project_dir: str) -> list[Path]:
-    """The files named ``*.java`` under ``project_dir``, sorted. A directory so
-    named is searched, not listed; a symlink to a file is listed, and one to a
-    directory is not followed."""
+    """The paths named ``*.java`` under ``project_dir``, sorted. A directory so
+    named is searched, not listed, and a symlink to one is not followed; all
+    else is listed, for ``_parse_files`` to skip what is not a regular file."""
     root = Path(project_dir)
     if not root.is_dir():
         raise OSError(f"not a directory: {project_dir}")
@@ -116,9 +116,13 @@ def _discover(project_dir: str) -> list[Path]:
 
 
 def _parse_files(paths: list[Path]) -> list[ProjectFile]:
-    """The files that parse; each one that does not is skipped with a warning."""
+    """The files that parse; each one that does not, or that is not a regular
+    file (whose read could block, as a FIFO's does), is skipped with a warning."""
     files: list[ProjectFile] = []
     for path in paths:
+        if not path.is_file():
+            print(f"warning: skipped {path}: not a regular file", file=sys.stderr)
+            continue
         try:
             text = path.read_text(encoding="utf-8")
             files.append(ProjectFile(unit=parse_source(text, str(path)), text=text))

@@ -3,9 +3,10 @@
 A unit with no logging calls short-circuits before any gateway traffic.
 For the rest, the prompt carries the unit's source plus the source of
 every project class its call paths actually enter, alongside the rendered
-static-analysis report. Gateway failures, of the extraction call or of a
-verifier call, are recorded per unit and leave that unit's logs to the
-black-box path; they never abort the project run.
+static-analysis report. The extraction call and each verifier call are
+retried by ``invoke_gateway``'s one rule; one that runs out of attempts is
+recorded as the unit's error and leaves that unit's logs to the black-box
+path, and never aborts the project run.
 """
 
 from __future__ import annotations
@@ -66,9 +67,8 @@ def extract_unit(entry: ProjectFile, project: dict[str, ProjectFile],
     try:
         reply = invoke_gateway(prompt, gateway_config, gateway)
         result.accepted, result.rejected = post_process(
-            parse_response(reply), policy, gateway,
-            attempts=gateway_config.max_retries + 1)
-    except GatewayError as exc:  # the extraction call or a verifier call failed
+            parse_response(reply), policy, gateway, gateway_config=gateway_config)
+    except GatewayError as exc:  # an extraction or verifier call ran out of attempts
         result.error = str(exc)
     return result
 

@@ -166,19 +166,22 @@ def make_gateway(config: GatewayConfig, budget: PathBudget = PathBudget(),
     return HttpGateway(config)
 
 
-def invoke_gateway(prompt: str, config: GatewayConfig, gateway) -> str:
-    """Send the prompt, retrying on transport errors and unparseable output.
+def invoke_gateway(prompt: str, config: GatewayConfig, gateway,
+                   check=parse_response) -> str:
+    """Send the prompt, retrying on transport errors and on replies that
+    ``check`` rejects with MalformedResponse: the one retry loop, for the
+    extraction call and each verifier call alike.
 
     Performs up to ``max_retries + 1`` attempts and returns the first raw
-    response whose text parses as a record array. Raises RetriesExhausted
-    once attempts run out.
+    reply ``check`` accepts (by default, one whose text parses as a record
+    array). Raises RetriesExhausted once attempts run out.
     """
     attempts = config.max_retries + 1
     last_error: Exception | None = None
     for _ in range(attempts):
         try:
             text = gateway.send(prompt)
-            parse_response(text)
+            check(text)
             return text
         except (GatewayUnavailable, GatewayTimeout, MalformedResponse) as exc:
             last_error = exc

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..templates import Template, TemplateBody, WILDCARD_TOKEN, merge_templates
-from .gateway import GatewayTimeout, GatewayUnavailable, build_verifier_prompt
+from .gateway import GatewayConfig, build_verifier_prompt, invoke_gateway
 from .responses import ExtractedTemplate
 
 REASON_ALL_WILDCARD = "all-wildcard"
@@ -81,26 +81,16 @@ def _filter_reason(body: TemplateBody, policy: PostProcessPolicy) -> str | None:
     return None
 
 
-def _ask_verifier(gateway, prompt: str, attempts: int) -> str:
-    """The verdict of the first of up to ``attempts`` sends (at least one) that
-    raises no transport error; the last attempt's error propagates."""
-    for _ in range(attempts - 1):
-        try:
-            return gateway.send(prompt)
-        except (GatewayUnavailable, GatewayTimeout):
-            pass
-    return gateway.send(prompt)
-
-
 def post_process(records: list[ExtractedTemplate], policy: PostProcessPolicy,
-                 gateway=None, *,
-                 attempts: int = 1) -> tuple[list[Template], list[Rejection]]:
+                 gateway=None, *, gateway_config: GatewayConfig = GatewayConfig()
+                 ) -> tuple[list[Template], list[Rejection]]:
     """Normalize, filter, dedup and (optionally) verify extraction records.
 
     Duplicate bodies merge by ``merge_templates``. When the verifier is
     enabled a gateway must be supplied; each surviving template is
-    confirmed by one verifier call, sent up to ``attempts`` times while it
-    fails in transport, and rejected on a negative verdict.
+    confirmed by one verifier call, retried by ``invoke_gateway`` under
+    ``gateway_config`` as the extraction call is, and rejected unless the
+    reply starts with "yes"; any reply is a verdict, never malformed.
     Returns (accepted, rejected).
     """
     if policy.enable_verifier and gateway is None:
@@ -122,7 +112,8 @@ def post_process(records: list[ExtractedTemplate], policy: PostProcessPolicy,
     for template in merge_templates(kept):
         if policy.enable_verifier:
             rendered = template.body.render()
-            verdict = _ask_verifier(gateway, build_verifier_prompt(rendered), attempts)
+            verdict = invoke_gateway(build_verifier_prompt(rendered), gateway_config,
+                                     gateway, check=lambda reply: None)
             if not verdict.strip().lower().startswith("yes"):
                 rejected.append(Rejection(template=rendered,
                                           reason=REASON_VERIFIER_REJECTED,

@@ -26,7 +26,7 @@ from logsmith.cli import (
 from logsmith.evaluation import load_ground_truth, score
 from logsmith.matcher import MatchResult
 from logsmith.templates import load_repository
-from logsmith.whitebox import GatewayUnavailable, MockGateway, extract, gateway
+from logsmith.whitebox import GatewayTimeout, GatewayUnavailable, MockGateway, extract, gateway
 from logsmith.whitebox.gateway import VERIFIER_PREFIX
 
 from conftest import EXAMPLE_PROJECT, FIXTURES, GOLDEN_REPORT, load_config
@@ -210,34 +210,55 @@ def test_mock_enumerates_only_the_log_calls_of_its_own_file(tmp_path, monkeypatc
     assert sorted(enumerated) == ["demo.Aux.work"] * 2 + ["demo.Main.run"] * 2
 
 
-class _VerifierDown(MockGateway):
-    """The mock, except that verifier calls about a "down" template fail: all
-    of them, or the first ``failures``."""
+class _DownCall(MockGateway):
+    """The mock, except that its calls of one kind, extraction or verifier,
+    about a "down" message fail with ``error``: all of them, or the first
+    ``failures``. ``sent`` counts the calls of that kind about it."""
 
-    def __init__(self, failures: float = float("inf")):
+    def __init__(self, verifier: bool, error, failures: float = float("inf")):
         super().__init__()
-        self.failures = failures
+        self.verifier, self.error, self.failures, self.sent = verifier, error, failures, 0
 
     def send(self, prompt: str) -> str:
-        if prompt.startswith(VERIFIER_PREFIX) and "down" in prompt and self.failures:
-            self.failures -= 1
-            raise GatewayUnavailable("verifier unreachable")
+        if prompt.startswith(VERIFIER_PREFIX) == self.verifier and "down" in prompt:
+            self.sent += 1
+            if self.sent <= self.failures:
+                raise self.error(f"call {self.sent} unreachable")
         return super().send(prompt)
 
 
-def test_failed_verifier_call_fails_its_unit_only(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(extract, "make_gateway", lambda *args: _VerifierDown())
-    project = tmp_path / "project"
-    project.mkdir()
+# Both calls of a unit go through one retry rule, so each test below runs a
+# failing extraction call and a failing verifier call, failing in each way.
+DOWN_CALLS = [(verifier, error) for verifier in (False, True)
+              for error in (GatewayUnavailable, GatewayTimeout)]
+
+
+def _extract_up_and_down(directory: Path, monkeypatch, gateway, *flags) -> tuple[Path, list]:
+    """``extract --enable-verifier`` through ``gateway`` of a project whose A
+    logs "up and running" and whose B logs "going down now"; B's path and the
+    repository's templates."""
+    monkeypatch.setattr(extract, "make_gateway", lambda *args: gateway)
+    project = directory / "project"
+    project.mkdir(parents=True)
     for name, message in (("A", "up and running"), ("B", "going down now")):
         (project / f"{name}.java").write_text(
             f'package p;\nclass {name} {{\n  void f() {{ log.info("{message}"); }}\n}}\n',
             encoding="utf-8")
-    out = tmp_path / "repo.jsonl"
-    assert main(["extract", str(project), "--out", str(out), "--enable-verifier"]) == EXIT_OK
-    err = capsys.readouterr().err
-    assert f"warning: gateway failed for {project / 'B.java'}: verifier unreachable" in err
-    assert [t.body.render() for t in load_repository(out)] == ["up and running"]
+    out = directory / "repo.jsonl"
+    assert main(["extract", str(project), "--out", str(out), "--enable-verifier",
+                 *flags]) == EXIT_OK
+    return project / "B.java", [t.body.render() for t in load_repository(out)]
+
+
+def test_failed_verifier_call_fails_its_unit_only(tmp_path, capsys, monkeypatch):
+    for verifier, error in DOWN_CALLS:
+        gateway = _DownCall(verifier, error)
+        b_path, kept = _extract_up_and_down(tmp_path / f"{verifier}-{error.__name__}",
+                                            monkeypatch, gateway, "--max-retries", "1")
+        err = capsys.readouterr().err
+        assert (f"warning: gateway failed for {b_path}: "
+                "gave up after 2 attempts: call 2 unreachable\n") in err, (verifier, error)
+        assert kept == ["up and running"] and gateway.sent == 2, (verifier, error)
 
 
 @pytest.mark.parametrize("failures, kept", [
@@ -246,19 +267,15 @@ def test_failed_verifier_call_fails_its_unit_only(tmp_path, capsys, monkeypatch)
 ])
 def test_verifier_call_is_retried_max_retries_times(tmp_path, capsys, monkeypatch,
                                                      failures, kept):
-    monkeypatch.setattr(extract, "make_gateway", lambda *args: _VerifierDown(failures))
-    project = tmp_path / "project"
-    project.mkdir()
-    for name, message in (("A", "up and running"), ("B", "going down now")):
-        (project / f"{name}.java").write_text(
-            f'package p;\nclass {name} {{\n  void f() {{ log.info("{message}"); }}\n}}\n',
-            encoding="utf-8")
-    out = tmp_path / "repo.jsonl"
-    assert main(["extract", str(project), "--out", str(out), "--enable-verifier",
-                 "--max-retries", "2"]) == EXIT_OK
-    err = capsys.readouterr().err
-    assert ("warning: gateway failed" in err) == (len(kept) == 1)
-    assert [t.body.render() for t in load_repository(out)] == kept
+    for verifier, error in DOWN_CALLS:
+        gateway = _DownCall(verifier, error, failures)
+        b_path, templates = _extract_up_and_down(
+            tmp_path / f"{verifier}-{error.__name__}", monkeypatch, gateway,
+            "--max-retries", "2")
+        warning = (f"warning: gateway failed for {b_path}: "
+                   "gave up after 3 attempts: call 3 unreachable\n")
+        assert (warning in capsys.readouterr().err) == (len(kept) == 1), (verifier, error)
+        assert templates == kept and gateway.sent == 3, (verifier, error)
 
 
 def test_report_marker_in_a_log_literal_keeps_the_file(tmp_path, capsys):
@@ -406,6 +423,26 @@ def test_directory_named_like_a_source_file_is_searched_not_read(tmp_path, capsy
         assert out.startswith("4 of 4 files parsed, 3 log calls")
         assert "inner ready" in {t.body.render() for t in
                                  load_repository(tmp_path / "repo.jsonl")}
+
+
+@pytest.mark.parametrize("command", ["extract", "report"])
+def test_a_source_name_that_is_not_a_regular_file_is_skipped_unopened(tmp_path, command):
+    # reading a FIFO blocks until a writer comes, so a run that opened one
+    # would hang: it runs in a subprocess, and a hang fails the test on timeout
+    project = tmp_path / "project"
+    shutil.copytree(EXAMPLE_PROJECT, project)
+    os.mkfifo(project / "Pipe.java")
+    (project / "Gone.java").symlink_to(tmp_path / "missing.java")
+    out = tmp_path / "out"
+    done = subprocess.run([sys.executable, "-m", "logsmith.cli", command, str(project),
+                           "--out", str(out)], capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert done.returncode == EXIT_OK, done.stderr
+    assert done.stderr == "".join(f"warning: skipped {project / name}: not a regular file\n"
+                                  for name in ("Gone.java", "Pipe.java"))
+    if command == "extract":
+        assert done.stdout.startswith("2 of 4 files parsed, 2 log calls")
+        assert len(load_repository(out)) == 4
 
 
 def test_parse_stream(repo_path, tmp_path, capsys):

@@ -237,8 +237,10 @@ def test_time_online_zero_lines_is_fast():
 def test_time_online_scales_roughly_linearly():
     repo = _timing_repo()
     lines = [f"stage {i % 20} payload done\n" for i in range(400)]
-    single = time_online(repo, lines, repetitions=5)
-    double = time_online(repo, lines * 2, repetitions=5)
+    # the least of several readings per size: one reading alone swings with
+    # whatever else the machine runs, and left the ratio outside the window
+    single = min(time_online(repo, lines, repetitions=5) for _ in range(5))
+    double = min(time_online(repo, lines * 2, repetitions=5) for _ in range(5))
     assert single > 0.0
     # allow generous slack: the point is growth, not a precise constant
     assert double < single * 8

@@ -11,6 +11,10 @@ are re-exports, which do not count as uses of a public name either.
 Every dataclass of the analyzer and the extraction layer is slotted: a parsed
 project holds one of them per syntax node, so none may carry a ``__dict__``.
 
+Every ``.send(...)`` call in the package sits inside ``invoke_gateway``: the
+extraction call and every verifier call share its one retry loop, so no
+second loop can grow around a gateway.
+
 Importing the CLI loads neither ``requests`` nor ``yaml``: a run pays for the
 HTTP client only when it sends over HTTP, and for the YAML parser only when
 it reads a config file.
@@ -245,6 +249,38 @@ def test_module_writes_no_indented_json_itself(path):
 ])
 def test_indented_json_calls_reads_attribute_and_imported_calls(source, found):
     assert indented_json_calls(source) == found
+
+
+def sends_outside(source: str, owner: str = "invoke_gateway") -> list[str]:
+    """The ``.send(...)`` calls in ``source`` that no function named ``owner`` holds."""
+    tree = ast.parse(source)
+    held = {id(node) for function in ast.walk(tree)
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and function.name == owner for node in ast.walk(function)}
+    return [f"line {node.lineno}: {ast.unparse(node.func)}" for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "send" and id(node) not in held]
+
+
+def test_only_invoke_gateway_calls_send():
+    found = {str(path.relative_to(PACKAGE)): sends_outside(path.read_text(encoding="utf-8"))
+             for path in MODULES}
+    assert {module: calls for module, calls in found.items() if calls} == {}
+    # the check sees the one call it allows: held by no function, it is found
+    gateway = (PACKAGE / "whitebox" / "gateway.py").read_text(encoding="utf-8")
+    assert [call.split(": ")[1] for call in sends_outside(gateway, owner="")] == ["gateway.send"]
+
+
+@pytest.mark.parametrize("source, found", [
+    ("def invoke_gateway(p, g):\n    return g.send(p)\n", []),
+    ("def _ask(g, p):\n    return g.send(p)\n", ["line 2: g.send"]),
+    ("def invoke_gateway(p, g):\n    def inner():\n        return g.send(p)\n"
+     "    return inner()\n", []),
+    ("class G:\n    def send(self, p):\n        return p\n", []),
+    ("x = self.gateway.send(p)\n", ["line 1: self.gateway.send"]),
+])
+def test_sends_outside_reads_calls_by_their_enclosing_function(source, found):
+    assert sends_outside(source) == found
 
 
 SLOTTED_PACKAGES = ("analyzer", "whitebox")

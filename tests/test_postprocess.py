@@ -7,10 +7,15 @@ import pytest
 
 from logsmith.templates import TemplateBody
 from logsmith.whitebox import (
+    GatewayConfig,
     GatewayTimeout,
     GatewayUnavailable,
     MockGateway,
     PostProcessPolicy,
+    RetriesExhausted,
+    build_prompt,
+    invoke_gateway,
+    parse_response,
     post_process,
 )
 from logsmith.whitebox.postprocess import (
@@ -136,37 +141,59 @@ def test_verifier_round_trip():
     assert rejected[0].template == "___<.*>"
 
 
-class _FlakyVerifier(MockGateway):
-    """The mock, except that its first ``failures`` verifier calls fail in transport."""
+class _Flaky(MockGateway):
+    """The mock, except that its first ``failures`` sends fail in transport,
+    each with an error of its own."""
 
     def __init__(self, failures: int, error=GatewayUnavailable):
         super().__init__()
-        self.failures, self.error, self.sent = failures, error, 0
+        self.failures, self.error, self.sent, self.raised = failures, error, 0, []
 
     def send(self, prompt: str) -> str:
         self.sent += 1
         if self.sent <= self.failures:
-            raise self.error("verifier unreachable")
+            self.raised.append(self.error(f"unreachable, attempt {self.sent}"))
+            raise self.raised[-1]
         return super().send(prompt)
 
 
-@pytest.mark.parametrize("error", [GatewayUnavailable, GatewayTimeout])
+def _extraction_call(gateway, config: GatewayConfig) -> list[str]:
+    prompt = build_prompt('package p;\nclass A {\n  void f() { log.info("sync done"); }\n}\n',
+                          "Extracted 1 log calls\n")
+    return [record.template for record in parse_response(invoke_gateway(prompt, config, gateway))]
+
+
+def _verifier_call(gateway, config: GatewayConfig) -> list[str]:
+    accepted, _ = post_process([_record("sync done")], PostProcessPolicy(enable_verifier=True),
+                               gateway, gateway_config=config)
+    return [t.body.render() for t in accepted]
+
+
+# Both calls go through invoke_gateway, so each test below runs each of them:
+# one retry rule, whichever call fails.
+CALLS = {"extraction": _extraction_call, "verifier": _verifier_call}
+ERRORS = (GatewayUnavailable, GatewayTimeout)
+
+
+@pytest.mark.parametrize("error", ERRORS)
 def test_verifier_call_is_retried_after_a_transport_error(error):
-    gateway = _FlakyVerifier(failures=1, error=error)
-    accepted, rejected = post_process([_record("sync done")],
-                                      PostProcessPolicy(enable_verifier=True),
-                                      gateway, attempts=2)
-    assert [t.body.render() for t in accepted] == ["sync done"]
-    assert rejected == [] and gateway.sent == 2
+    for call in CALLS.values():
+        gateway = _Flaky(failures=2, error=error)
+        assert call(gateway, GatewayConfig(max_retries=2)) == ["sync done"], call.__name__
+        assert gateway.sent == 3, call.__name__
 
 
 @pytest.mark.parametrize("attempts", [1, 3])
 def test_verifier_call_raises_the_last_error_once_attempts_run_out(attempts):
-    gateway = _FlakyVerifier(failures=attempts)
-    with pytest.raises(GatewayUnavailable, match="verifier unreachable"):
-        post_process([_record("sync done")], PostProcessPolicy(enable_verifier=True),
-                     gateway, attempts=attempts)
-    assert gateway.sent == attempts
+    for call in CALLS.values():
+        for error in ERRORS:
+            gateway = _Flaky(failures=attempts, error=error)
+            with pytest.raises(RetriesExhausted) as exhausted:
+                call(gateway, GatewayConfig(max_retries=attempts - 1))
+            assert exhausted.value.attempts == gateway.sent == attempts, call.__name__
+            assert exhausted.value.last_error is gateway.raised[-1], call.__name__
+            assert str(exhausted.value) == (
+                f"gave up after {attempts} attempts: unreachable, attempt {attempts}")
 
 
 def test_post_process_is_idempotent_on_accepted_set():
