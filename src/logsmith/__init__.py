@@ -4,31 +4,12 @@ The pipeline has four stages: static analysis of source code (analyzer),
 template extraction through a pluggable gateway (whitebox), streaming
 clustering of unmatched logs (blackbox), and template matching with
 strict template-level evaluation (matcher, evaluation).
+
+The command line is the interface. This package re-exports only the names
+that code outside it imports through it, which is the benchmark under
+``perfbench/``; everything else is imported from the module defining it.
 """
 
-from .templates import (
-    LEVELS,
-    WILDCARD_TOKEN,
-    Template,
-    TemplateBody,
-    Wildcard,
-    WILD,
-    level_rank,
-    load_repository,
-    save_repository,
-)
+from .templates import WILDCARD_TOKEN, TemplateBody, Wildcard
 
-__version__ = "0.1.0"
-
-__all__ = [
-    "LEVELS",
-    "Template",
-    "TemplateBody",
-    "WILD",
-    "WILDCARD_TOKEN",
-    "Wildcard",
-    "__version__",
-    "level_rank",
-    "load_repository",
-    "save_repository",
-]
+__all__ = ["TemplateBody", "WILDCARD_TOKEN", "Wildcard"]

@@ -1,10 +1,11 @@
 """Cross-file call resolution over a parsed project.
 
-The call graph maps (class fqn, method name, arity) to method declarations.
-Call expressions whose receiver names an imported or same-package class, or
-bare calls within the declaring class, resolve to project methods; anything
-else is left for the built-in / unknown classification done during path
-enumeration.
+The call graph maps (class fqn, method name, arity) to the first method
+the class declares with that key; of two files declaring one class, the later
+file's method is kept. Call expressions whose receiver names an imported or
+same-package class, or bare calls within the declaring class, resolve to
+project methods; anything else is left for the built-in / unknown
+classification done during path enumeration.
 """
 
 from __future__ import annotations
@@ -63,7 +64,8 @@ def build_call_graph(units: Iterable[SourceUnit]) -> CallGraph:
     graph = CallGraph()
     for unit in units:
         graph.units_by_fqn[unit.fqn] = unit
-        for method in unit.methods:
+        # reversed, so the first of two same-arity overloads is the one kept
+        for method in reversed(unit.methods):
             key = (unit.fqn, method.name, len(method.params))
             graph.methods[key] = ResolvedTarget(unit, method)
     return graph

@@ -26,6 +26,7 @@ from operator import length_hint
 from sys import intern
 
 from .syntax import (
+    ESCAPES,
     Call,
     Concat,
     ExprStmt,
@@ -47,14 +48,12 @@ class SourceSyntaxError(Exception):
         self.message = message
 
 
-_KEYWORDS = {
-    "package", "import", "class", "if", "else", "return",
-    "public", "private", "protected", "static", "final",
-}
 _MODIFIERS = {"public", "private", "protected", "static", "final"}
+_KEYWORDS = {"package", "import", "class", "if", "else", "return"} | _MODIFIERS
 
-_STRING_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "b": "\b", "f": "\f",
-                   '"': '"', "'": "'", "\\": "\\"}
+# The printer's escapes read backwards; any other escaped character, such as
+# "'", reads as itself.
+_STRING_ESCAPES = {escape[1]: char for char, escape in ESCAPES.items()}
 
 # Deepest nesting the parser accepts: parentheses, call arguments, if and
 # else-if levels, and one level per "+" operand or "." call link, since those

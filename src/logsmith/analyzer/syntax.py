@@ -97,21 +97,17 @@ class SourceUnit:
             return f"{self.package}.{self.class_name}"
         return self.class_name
 
-    def method(self, name: str, arity: int) -> MethodDecl | None:
-        for decl in self.methods:
-            if decl.name == name and len(decl.params) == arity:
-                return decl
-        return None
 
-
-# The inverse of the lexer's escapes ("'" needs none between double quotes),
-# so a rendered literal lexes back to the same text.
-_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r",
-            "\b": "\\b", "\f": "\\f"}
+# The one escape table of a string literal: the printer writes each of these
+# characters as its escape, and the lexer reads each escape back, so a
+# rendered literal lexes back to the same text ("'" needs no escape between
+# double quotes).
+ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r",
+           "\b": "\\b", "\f": "\\f"}
 
 
 def escape_string(text: str) -> str:
-    return "".join(_ESCAPES.get(ch, ch) for ch in text)
+    return "".join(ESCAPES.get(ch, ch) for ch in text)
 
 
 def expr_to_source(expr) -> str:

@@ -156,7 +156,7 @@ class ClusterTree:
         self.sim_threshold = sim_threshold
         self.max_children = max_children
         self.root: dict[int, _Node] = {}
-        self._clusters: list[Cluster] = []
+        self.clusters: list[Cluster] = []  # in creation order
         self._next_id = 1
 
     def ingest(self, message: str) -> tuple[int, str]:
@@ -210,7 +210,7 @@ class ClusterTree:
         node.add(cluster)
         if len(clusters) == 2:
             node.index(self._free_positions(tokens))
-        self._clusters.append(cluster)
+        self.clusters.append(cluster)
         return cluster.cluster_id, " ".join(tokens)
 
     def _free_positions(self, tokens: list[str]) -> tuple[int, ...]:
@@ -231,14 +231,10 @@ class ClusterTree:
             node = child
         return tuple(free) + tuple(range(len(path), len(tokens)))
 
-    @property
-    def clusters(self) -> list[Cluster]:
-        return list(self._clusters)
-
     def export_templates(self) -> list[Template]:
         """One repository template per cluster, in creation order."""
         exported = []
-        for cluster in self._clusters:
+        for cluster in self.clusters:
             segments: list = []
             for i, token in enumerate(cluster.template_tokens):
                 if i > 0:

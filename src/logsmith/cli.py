@@ -166,8 +166,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
             if unit_result.error is not None:
                 print(f"warning: gateway failed for {unit_result.unit.path}: "
                       f"{unit_result.error}", file=sys.stderr)
-            calls += len(unit_result.enumerations)
-            paths_found += sum(len(e.paths) for e in unit_result.enumerations)
+            calls += unit_result.report.call_count
+            paths_found += unit_result.report.total_paths
             rejected += len(unit_result.rejected)
             accepted += unit_result.accepted
     finally:

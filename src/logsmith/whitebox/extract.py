@@ -43,7 +43,6 @@ class ProjectFile:
 @dataclass(slots=True)
 class UnitExtraction:
     unit: SourceUnit
-    enumerations: list[PathEnumeration]
     report: StaticReport
     report_text: str
     accepted: list[Template] = field(default_factory=list)
@@ -58,8 +57,7 @@ def extract_unit(entry: ProjectFile, project: dict[str, ProjectFile],
     """Extract one unit's templates from the enumerations of its log calls."""
     report = build_report(enumerations)
     report_text = render_report(report)
-    result = UnitExtraction(unit=entry.unit, enumerations=enumerations,
-                            report=report, report_text=report_text)
+    result = UnitExtraction(unit=entry.unit, report=report, report_text=report_text)
     if not enumerations:
         return result
 

@@ -31,14 +31,7 @@ import json
 import re
 
 from logsmith import evaluation
-from logsmith.analyzer import (
-    Call,
-    Concat,
-    Ident,
-    If,
-    Return,
-    StrLit,
-)
+from logsmith.analyzer.syntax import Call, Concat, Ident, If, Return, StrLit
 from logsmith.matcher import (
     CompiledEntry,
     CompiledRepository,
@@ -74,6 +67,14 @@ class _Run:
         return f"val{self.counter}"
 
 
+def _first_method(unit, name: str, arity: int):
+    """The first method ``unit`` declares with this name and argument count."""
+    for decl in unit.methods:
+        if decl.name == name and len(decl.params) == arity:
+            return decl
+    return None
+
+
 class Interpreter:
     def __init__(self, units, max_call_depth: int = 8):
         self.units = {unit.fqn: unit for unit in units}
@@ -84,7 +85,7 @@ class Interpreter:
         """Own resolution logic: bare calls hit the declaring class, class-name
         receivers hit imported or same-package project classes."""
         if call.receiver is None:
-            target = unit.method(call.method, len(call.args))
+            target = _first_method(unit, call.method, len(call.args))
             return (unit, target) if target is not None else None
         if not isinstance(call.receiver, Ident):
             return None
@@ -97,7 +98,7 @@ class Interpreter:
                      or candidate.fqn in unit.imports)
         if not reachable:
             return None
-        target = candidate.method(call.method, len(call.args))
+        target = _first_method(candidate, call.method, len(call.args))
         return (candidate, target) if target is not None else None
 
     def _eval(self, expr, unit, run, stack):

@@ -27,13 +27,9 @@ from logsmith.blackbox import CLUSTER_WILDCARD, ClusterTree
 from logsmith.evaluation import score
 from logsmith.matcher import compile_repository, run_stream
 from logsmith.templates import Template, TemplateBody, merge_templates
-from logsmith.whitebox import (
-    MockGateway,
-    PostProcessPolicy,
-    ProjectFile,
-    extract_project,
-    post_process,
-)
+from logsmith.whitebox import PostProcessPolicy, post_process
+from logsmith.whitebox.extract import ProjectFile, extract_project
+from logsmith.whitebox.gateway import MockGateway
 from logsmith.whitebox.responses import ExtractedTemplate
 
 from conftest import EXAMPLE_PROJECT, FIXTURES, GOLDEN_REPORT, parse_project

@@ -1,14 +1,8 @@
 from __future__ import annotations
 
-from logsmith.analyzer import (
-    Call,
-    Ident,
-    StrLit,
-    build_call_graph,
-    find_log_calls,
-    is_logger_call,
-    parse_source,
-)
+from logsmith.analyzer import build_call_graph, find_log_calls, parse_source
+from logsmith.analyzer.logcalls import is_logger_call
+from logsmith.analyzer.syntax import Call, Ident, StrLit
 
 
 def _first_return_call(unit):

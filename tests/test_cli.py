@@ -26,8 +26,9 @@ from logsmith.cli import (
 from logsmith.evaluation import load_ground_truth, score
 from logsmith.matcher import MatchResult
 from logsmith.templates import load_repository
-from logsmith.whitebox import GatewayTimeout, GatewayUnavailable, MockGateway, extract, gateway
-from logsmith.whitebox.gateway import VERIFIER_PREFIX
+from logsmith.whitebox import extract, gateway
+from logsmith.whitebox.gateway import (
+    VERIFIER_PREFIX, GatewayTimeout, GatewayUnavailable, MockGateway)
 
 from conftest import EXAMPLE_PROJECT, FIXTURES, GOLDEN_REPORT, load_config
 from generator import generate_project

@@ -6,21 +6,21 @@ import requests
 from logsmith.analyzer import build_call_graph, enumerate_paths, find_log_calls, paths
 from logsmith.whitebox import (
     GatewayConfig,
+    build_prompt,
+    invoke_gateway,
+    make_gateway,
+    parse_response,
+)
+from logsmith.whitebox.extract import ProjectFile, extract_project
+from logsmith.whitebox.gateway import (
     GatewayTimeout,
     GatewayUnavailable,
     HttpGateway,
     MockGateway,
-    ProjectFile,
     RetriesExhausted,
-    build_prompt,
     build_verifier_prompt,
-    extract_project,
-    invoke_gateway,
-    make_gateway,
-    parse_response,
-    render_records,
 )
-from logsmith.whitebox.responses import ExtractedTemplate, MalformedResponse
+from logsmith.whitebox.responses import ExtractedTemplate, MalformedResponse, render_records
 
 from conftest import EXAMPLE_PROJECT, parse_project
 
@@ -188,7 +188,7 @@ def test_unit_without_log_calls_makes_no_gateway_call():
     gateway = _FlakyGateway(failures=0)
     bar, foo = extract_project(files, gateway)
     assert gateway.calls == 1
-    assert bar.enumerations == [] and bar.accepted == [] and bar.error is None
+    assert bar.report.enumerations == () and bar.accepted == [] and bar.error is None
     assert bar.report_text.startswith("Extracted 0 log calls")
     assert foo.accepted == [] and [r.template for r in foo.rejected] == ["x_<.*>"]
 

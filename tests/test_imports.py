@@ -8,6 +8,12 @@ encoder.
 Package ``__init__.py`` files are exempt from the import check: their imports
 are re-exports, which do not count as uses of a public name either.
 
+Each package ``__init__.py`` re-exports exactly the names that modules outside
+that package import through it: the package's other modules, and the
+benchmark's ``perfbench/*.py``, which runs against each commit's package.
+Its ``__all__`` and its imports both hold those names and no more. Tests
+import anything else from the module that defines it.
+
 Every dataclass of the analyzer and the extraction layer is slotted: a parsed
 project holds one of them per syntax node, so none may carry a ``__dict__``.
 
@@ -211,6 +217,126 @@ def test_unused_public_names_reads_uses_across_modules(sources, unused):
     assert unused_public_names(sources) == unused
 
 
+def _module_name(path: str) -> str:
+    """``logsmith/analyzer/__init__.py`` -> ``logsmith.analyzer``."""
+    parts = path.removesuffix(".py").split("/")
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def reexport_mismatches(sources: dict[str, str]) -> list[str]:
+    """Where a package's ``__all__`` differs from the names that modules
+    outside that package import through it with ``from ... import``.
+
+    ``sources`` maps each file's path, relative to the directory holding its
+    top-level package (``logsmith/cli.py``, ``perfbench/run.py``), to its
+    text. A submodule imported by name is no re-export, and an ``__init__``'s
+    own imports must bind exactly the names in its ``__all__``."""
+    modules = {_module_name(path) for path in sources}
+    inits = {_module_name(path): ast.parse(source) for path, source in sources.items()
+             if path.endswith("__init__.py")}
+    wanted: dict[str, dict[str, list[str]]] = {package: {} for package in inits}
+    for path, source in sorted(sources.items()):
+        importer = _module_name(path)
+        here = importer.split(".") if path.endswith("__init__.py") else importer.split(".")[:-1]
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            target = node.module
+            if node.level:
+                target = ".".join(here[:len(here) - node.level + 1]
+                                  + ([node.module] if node.module else []))
+            if target not in wanted or f"{importer}.".startswith(f"{target}."):
+                continue
+            for alias in node.names:
+                if f"{target}.{alias.name}" not in modules:
+                    wanted[target].setdefault(alias.name, []).append(importer)
+    problems = []
+    for package, tree in sorted(inits.items()):
+        exported = set()
+        bound = set()
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(target, ast.Name) and target.id == "__all__"
+                    for target in node.targets):
+                exported = set(ast.literal_eval(node.value))
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound.update(alias.asname or alias.name for alias in node.names)
+        for name in sorted(exported - set(wanted[package])):
+            problems.append(f"{package}: exports {name}, "
+                            "which no module outside it imports through it")
+        for name in sorted(set(wanted[package]) - exported):
+            problems.append(f"{package}: does not export {name}, "
+                            f"imported by {', '.join(wanted[package][name])}")
+        for name in sorted(bound ^ exported):
+            problems.append(f"{package}: {name} is "
+                            + ("imported but not in __all__" if name in bound
+                               else "in __all__ but not imported"))
+    return problems
+
+
+REPOSITORY = PACKAGE.parent.parent
+
+
+def _boundary_sources() -> dict[str, str]:
+    """The package's modules and the benchmark's, which imports the package."""
+    paths = [(path, PACKAGE.parent) for path in sorted(PACKAGE.rglob("*.py"))]
+    paths += [(path, REPOSITORY) for path in sorted((REPOSITORY / "perfbench").glob("*.py"))]
+    return {path.relative_to(base).as_posix(): path.read_text(encoding="utf-8")
+            for path, base in paths}
+
+
+def test_each_package_exports_what_crosses_its_boundary():
+    assert reexport_mismatches(_boundary_sources()) == []
+
+
+def _plant(sources: dict[str, str], path: str, *edits: tuple[str, str]) -> dict[str, str]:
+    text = sources[path]
+    for old, new in edits:
+        assert old in text, old
+        text = text.replace(old, new)
+    return {**sources, path: text}
+
+
+def test_reexport_check_finds_a_planted_extra_export():
+    sources = _plant(_boundary_sources(), "logsmith/analyzer/__init__.py",
+                     ("import build_call_graph", "import CallGraph, build_call_graph"),
+                     ('__all__ = [\n', '__all__ = [\n    "CallGraph",\n'))
+    assert reexport_mismatches(sources) == [
+        "logsmith.analyzer: exports CallGraph, which no module outside it imports through it"]
+
+
+def test_reexport_check_finds_a_planted_missing_export():
+    sources = _plant(_boundary_sources(), "logsmith/analyzer/__init__.py",
+                     ("StaticReport, build_report, render_report", "StaticReport, render_report"),
+                     ('    "build_report",\n', ""))
+    assert reexport_mismatches(sources) == [
+        "logsmith.analyzer: does not export build_report, imported by "
+        "logsmith.cli, logsmith.whitebox.extract, perfbench.tracer"]
+
+
+_PKG_A = {"pkg/__init__.py": "from .a import f\n__all__ = ['f']\n", "pkg/a.py": "def f(): ...\n"}
+
+
+@pytest.mark.parametrize("sources, found", [
+    ({**_PKG_A, "bench/x.py": "from pkg import f\n"}, []),
+    (_PKG_A, ["pkg: exports f, which no module outside it imports through it"]),
+    ({**_PKG_A, "pkg/b.py": "from . import f\nfrom pkg import f\n"},
+     ["pkg: exports f, which no module outside it imports through it"]),
+    ({"pkg/__init__.py": "", "pkg/sub/__init__.py": _PKG_A["pkg/__init__.py"],
+      "pkg/sub/a.py": "def f(): ...\n", "pkg/c.py": "def g():\n    from .sub import f\n"}, []),
+    ({"pkg/__init__.py": "__all__ = []\n", "pkg/a.py": "", "bench/x.py": "from pkg import a\n"},
+     []),
+    ({"pkg/__init__.py": "", "bench/x.py": "from pkg import g\n", "bench/y.py": "from pkg import g\n"},
+     ["pkg: does not export g, imported by bench.x, bench.y"]),
+    ({**_PKG_A, "pkg/__init__.py": "from .a import f\n__all__ = []\n"},
+     ["pkg: f is imported but not in __all__"]),
+    ({**_PKG_A, "pkg/__init__.py": "__all__ = ['f']\n", "bench/x.py": "from pkg import f\n"},
+     ["pkg: f is in __all__ but not imported"]),
+])
+def test_reexport_mismatches_reads_imports_from_outside_the_package(sources, found):
+    assert reexport_mismatches(sources) == found
+
+
 def indented_json_calls(source: str) -> list[str]:
     """The calls in ``source`` of ``json.dump``/``json.dumps``, by module
     attribute or by imported name, that pass an ``indent`` keyword."""
@@ -315,13 +441,14 @@ def test_analyzer_and_whitebox_dataclasses_are_slotted():
 
 def test_instances_of_the_parsed_project_have_no_dict():
     from logsmith.analyzer import parse_source
-    from logsmith.whitebox import MockGateway, ProjectFile, extract_project
+    from logsmith.whitebox.extract import ProjectFile, extract_project
+    from logsmith.whitebox.gateway import MockGateway
     from conftest import EXAMPLE_PROJECT
 
     texts = [path.read_text(encoding="utf-8") for path in sorted(EXAMPLE_PROJECT.glob("*.java"))]
     files = [ProjectFile(unit=parse_source(text), text=text) for text in texts]
     _, foo = extract_project(files, MockGateway())
-    enumeration = foo.enumerations[0]
+    enumeration = foo.report.enumerations[0]
     path = enumeration.paths[0]
     values = [files[0], foo, foo.unit, foo.unit.methods[0], foo.unit.methods[0].body[0],
               foo.report, enumeration, enumeration.site, enumeration.site.call, path,

@@ -56,6 +56,26 @@ def test_example_project_agreement(example_units, example_graph, example_sites):
         assert problems == [], "\n".join(problems)
 
 
+OVERLOADS = ('package p;\nimport q.B;\nclass A {\n'
+             '  String f(String a) { return "first"; }\n'
+             '  String f(int b) { return "second"; }\n'
+             '  void run(String x) { log.info("v=" + f(x)); }\n}\n')
+OVERLOADS_CALLER = ('package q;\nimport p.A;\nclass B {\n'
+                    '  void run(String x) { log.info("w=" + A.f(x)); }\n}\n')
+
+
+def test_the_first_same_arity_overload_wins():
+    # both constructions resolve a call by class, name and argument count,
+    # taking the first method declared, for a bare call and a class receiver
+    sources = [("p/A.java", OVERLOADS), ("q/B.java", OVERLOADS_CALLER)]
+    _check_sources(sources)
+    units = [parse_source(text, path) for path, text in sources]
+    graph = build_call_graph(units)
+    yielded = [path.yielded.render() for unit in units for site in find_log_calls(unit)
+               for path in enumerate_paths(site, graph, ROOMY_BUDGET).paths]
+    assert yielded == ["v=first", "w=first"]
+
+
 def test_oracle_on_example_site(example_units, example_graph, example_sites):
     interpreter = Interpreter(example_units)
     strings = interpreter.run_site(example_sites[0])

@@ -4,22 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logsmith.analyzer import (
+from logsmith.analyzer import SourceSyntaxError, find_log_calls, parse_source, parse_sources
+from logsmith.analyzer.parser import MAX_NESTING, _tokenize
+from logsmith.analyzer.syntax import (
     Call,
     Concat,
     Ident,
     If,
     Return,
-    SourceSyntaxError,
     StrLit,
     expr_to_source,
-    find_log_calls,
     method_to_source,
-    parse_source,
-    parse_sources,
 )
-
-from logsmith.analyzer.parser import MAX_NESTING, _tokenize
 
 import reference_parser
 from conftest import EXAMPLE_PROJECT

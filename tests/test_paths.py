@@ -3,9 +3,6 @@ from __future__ import annotations
 import pytest
 
 from logsmith.analyzer import (
-    KIND_BUILTIN,
-    KIND_LOG,
-    KIND_UNKNOWN,
     KIND_USER,
     PathBudget,
     analyze_project,
@@ -15,6 +12,7 @@ from logsmith.analyzer import (
     parse_source,
 )
 from logsmith.analyzer.parser import MAX_NESTING
+from logsmith.analyzer.paths import KIND_BUILTIN, KIND_LOG, KIND_UNKNOWN
 
 from generator import generate_project
 

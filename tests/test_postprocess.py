@@ -8,15 +8,17 @@ import pytest
 from logsmith.templates import TemplateBody
 from logsmith.whitebox import (
     GatewayConfig,
-    GatewayTimeout,
-    GatewayUnavailable,
-    MockGateway,
     PostProcessPolicy,
-    RetriesExhausted,
     build_prompt,
     invoke_gateway,
     parse_response,
     post_process,
+)
+from logsmith.whitebox.gateway import (
+    GatewayTimeout,
+    GatewayUnavailable,
+    MockGateway,
+    RetriesExhausted,
 )
 from logsmith.whitebox.postprocess import (
     REASON_ALL_WILDCARD,

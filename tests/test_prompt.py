@@ -2,8 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from logsmith.whitebox import PROMPT_TEMPLATE, build_prompt
-from logsmith.whitebox.prompt import java_code_slot
+from logsmith.whitebox.prompt import PROMPT_TEMPLATE, build_prompt, java_code_slot
 
 CODE = 'package p;\nclass X {\n  void f() { log.error("x"); }\n}\n'
 REPORT = "Extracted 1 log calls\n\nA total of 1 log calls, with 1 complete paths found.\n"

@@ -3,7 +3,6 @@ from __future__ import annotations
 import pytest
 
 from logsmith.analyzer import (
-    UNDEFINED_TEMPLATE,
     StaticReport,
     build_call_graph,
     build_report,
@@ -12,6 +11,7 @@ from logsmith.analyzer import (
     parse_source,
     render_report,
 )
+from logsmith.analyzer.report import UNDEFINED_TEMPLATE
 
 from conftest import GOLDEN_REPORT
 

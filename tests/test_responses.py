@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from logsmith.whitebox import (
+from logsmith.whitebox.responses import (
     ExtractedTemplate,
     MalformedResponse,
     parse_response,
