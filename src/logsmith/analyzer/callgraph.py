@@ -38,7 +38,7 @@ class CallGraph:
         for imp in unit.imports:
             if imp.rsplit(".", 1)[-1] == name:
                 return imp
-        same_pkg = f"{unit.package}.{name}" if unit.package else name
+        same_pkg = f"{unit.package}.{name}"
         if same_pkg in self.units_by_fqn:
             return same_pkg
         return None

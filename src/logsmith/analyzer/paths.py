@@ -8,8 +8,8 @@ calls become wildcard slots. ``{}`` placeholders in a literal format string
 each become a wildcard as well.
 
 Call cycles collapse to a wildcard and are flagged; enumeration stops at
-the configured depth and path budget, setting the truncation flag rather
-than failing.
+the configured depth and path budget, and after a fixed number of calls
+traced per site, setting the truncation flag rather than failing.
 """
 
 from __future__ import annotations
@@ -53,6 +53,11 @@ KIND_UNKNOWN = "unknown"
 # A helper level whose return is nested to the parser's bound costs about 64
 # frames, so 16 levels hit the recursion limit; 12 leaves the caller room.
 MAX_CALL_DEPTH = 12
+
+# Calls traced per site, over all its paths: past this many, a call is a
+# wildcard with no step. Without it, helpers that each call the next one k
+# times cost about k ** depth steps; no generated corpus traces more than 56.
+MAX_CALLS_PER_SITE = 1024
 
 
 @dataclass(frozen=True, slots=True)
@@ -166,6 +171,7 @@ class _Tracer:
         self.builtins = builtins
         self.with_steps = with_steps
         self.truncated = False
+        self.calls = 0
         self.conditional = False
         self.external = False
         self.cycles: list[tuple[str, ...]] = []
@@ -192,6 +198,11 @@ class _Tracer:
     def call(self, call: Call, unit: SourceUnit, method: MethodDecl,
              stack: tuple) -> Iterator[_Alt]:
         self.external = True
+        self.calls += 1
+        if self.calls > MAX_CALLS_PER_SITE:
+            self.truncated = True
+            yield ((WILD,), ())
+            return
         target = self.graph.resolve_call(unit, call)
         if target is None:
             step = ()
@@ -250,8 +261,9 @@ def enumerate_paths(site: LogCallSite, graph: CallGraph,
 
     Each path pairs the step chain (logging invocation first, then every
     method call followed on that branch combination) with the template body
-    the branch produces. Paths beyond ``budget.max_paths_per_site`` and
-    calls deeper than ``budget.max_call_depth`` set the truncation flag;
+    the branch produces. Paths beyond ``budget.max_paths_per_site``, calls
+    deeper than ``budget.max_call_depth`` and calls past the site's
+    ``MAX_CALLS_PER_SITE`` set the truncation flag;
     call cycles collapse to a wildcard and record the offending chain.
     ``with_steps=False`` leaves every path's steps empty, for a caller that
     reads only the template bodies and flags: no call code or callee source

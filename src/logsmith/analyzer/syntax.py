@@ -93,9 +93,7 @@ class SourceUnit:
 
     @property
     def fqn(self) -> str:
-        if self.package:
-            return f"{self.package}.{self.class_name}"
-        return self.class_name
+        return f"{self.package}.{self.class_name}"
 
 
 # The one escape table of a string literal: the printer writes each of these

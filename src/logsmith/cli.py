@@ -86,7 +86,6 @@ def _config_flags(parser: argparse.ArgumentParser) -> None:
                        default=None, help="let inner wildcards match empty text")
     group.add_argument("--builtin-methods", type=_names,
                        help="comma-separated built-in method names")
-    group.add_argument("--workers", type=int)
 
 
 def _load_config(args: argparse.Namespace) -> Config:
@@ -100,8 +99,6 @@ def _load_config(args: argparse.Namespace) -> Config:
         given = {key: flags[key] for key in keys if flags[key] is not None}
         if given:
             data[name] = {**(data.get(name) or {}), **given}
-    if args.workers is not None:
-        data["workers"] = args.workers
     return build_config(data)
 
 
@@ -156,8 +153,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
         # written; only their accepted templates are kept, for the merge
         for unit_result in extract_project(
                 files, gateway_config=config.gateway, policy=config.postprocess,
-                budget=config.budget, builtin_methods=config.builtin_methods,
-                workers=config.workers):
+                budget=config.budget, builtin_methods=config.builtin_methods):
             name = unit_result.unit.class_name
             _write_file(f"{name}.report.txt", unit_result.report_text.encode("utf-8"),
                         directory)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import get_type_hints
 
 from .analyzer import DEFAULT_BUILTIN_METHODS, PathBudget
 from .blackbox import ClusterTree
@@ -32,13 +31,10 @@ class Config:
     header_pattern: str | None = None
     allow_empty_inner: bool = False
     builtin_methods: tuple[str, ...] = DEFAULT_BUILTIN_METHODS
-    workers: int = 1
 
     def __post_init__(self):
         # delegate range checks to the tree constructor
         self.make_tree()
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         if self.header_pattern is not None:
             try:
                 re.compile(self.header_pattern)
@@ -51,8 +47,7 @@ class Config:
                            max_children=self.tree_max_children)
 
 
-# The keys each section of the file accepts; ``workers`` is the only
-# top-level key that is not a section.
+# The keys each section of the file accepts; every key belongs to a section.
 SECTIONS = {
     "gateway": {item.name for item in fields(GatewayConfig)},
     "postprocess": {item.name for item in fields(PostProcessPolicy)},
@@ -62,34 +57,27 @@ SECTIONS = {
     "analyzer": {"builtin_methods"},
 }
 
-# What the file must give a field of each type, and the exact types it may
-# be; a bool is no number, though Python counts it as an int.
-_TYPES = {int: ("an integer", (int,)), float: ("a number", (int, float)),
-          bool: ("true or false", (bool,)), str: ("a string", (str,)),
-          str | None: ("a string or null", (str, type(None))),
-          tuple[str, ...]: ("a list of strings", (list,))}
+# What the file must give a field of each annotation, and the exact types it
+# may be; a bool is no number, though Python counts it as an int. Every module
+# that defines a configured dataclass defers its annotations, so each field's
+# ``type`` is its annotation text.
+_TYPES = {"int": ("an integer", (int,)), "float": ("a number", (int, float)),
+          "bool": ("true or false", (bool,)), "str": ("a string", (str,)),
+          "str | None": ("a string or null", (str, type(None))),
+          "tuple[str, ...]": ("a list of strings", (list,))}
 
 
-def _typed(name: str, value, hint):
-    """``value`` as a field annotated ``hint`` holds it; ``name`` is its key in the file."""
-    expected, types = _TYPES[hint]
+def _typed(name: str, value, annotation: str):
+    """``value`` as a field annotated ``annotation`` holds it; ``name`` is its key in the file."""
+    expected, types = _TYPES[annotation]
     if type(value) not in types or (
-            hint == tuple[str, ...] and not all(type(item) is str for item in value)):
+            annotation == "tuple[str, ...]" and not all(type(item) is str for item in value)):
         raise ConfigError(f"{name} must be {expected}, not {value!r}")
-    return tuple(value) if type(value) is list else float(value) if hint is float else value
+    return (tuple(value) if type(value) is list
+            else float(value) if annotation == "float" else value)
 
 
-def _hint(hints: dict[type, dict], owner: type, name: str):
-    """The annotation of ``owner``'s field ``name``. ``hints`` keeps each
-    class's resolved annotations, so one build resolves a class at most once
-    and only when the file gives one of its fields."""
-    if owner not in hints:
-        hints[owner] = get_type_hints(owner)
-    return hints[owner][name]
-
-
-def _section(data: dict, name: str, owner: type, hints: dict[type, dict],
-             prefix: str = "") -> dict:
+def _section(data: dict, name: str, owner: type, prefix: str = "") -> dict:
     """Section ``name`` as values of ``owner``'s fields, each named ``prefix`` + key."""
     section = data.get(name) or {}
     if not isinstance(section, dict):
@@ -97,7 +85,8 @@ def _section(data: dict, name: str, owner: type, hints: dict[type, dict],
     unknown = set(section) - SECTIONS[name]
     if unknown:
         raise ConfigError(f"unknown keys in {name!r}: {', '.join(sorted(unknown))}")
-    return {prefix + key: _typed(f"{name}.{key}", value, _hint(hints, owner, prefix + key))
+    annotations = {item.name: item.type for item in fields(owner)}
+    return {prefix + key: _typed(f"{name}.{key}", value, annotations[prefix + key])
             for key, value in section.items()}
 
 
@@ -122,21 +111,17 @@ def build_config(data) -> Config:
     """
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping")
-    unknown = set(data) - set(SECTIONS) - {"workers"}
+    unknown = set(data) - set(SECTIONS)
     if unknown:
         raise ConfigError(f"unknown top-level keys: {', '.join(sorted(unknown))}")
-    hints: dict[type, dict] = {}
     try:  # out-of-range values, an integer past the float range among them
-        values = {**_section(data, "tree", Config, hints, "tree_"),
-                  **_section(data, "matching", Config, hints),
-                  **_section(data, "analyzer", Config, hints)}
-        if "workers" in data:
-            values["workers"] = _typed("workers", data["workers"],
-                                       _hint(hints, Config, "workers"))
-        return Config(gateway=GatewayConfig(**_section(data, "gateway", GatewayConfig, hints)),
+        values = {**_section(data, "tree", Config, "tree_"),
+                  **_section(data, "matching", Config),
+                  **_section(data, "analyzer", Config)}
+        return Config(gateway=GatewayConfig(**_section(data, "gateway", GatewayConfig)),
                       postprocess=PostProcessPolicy(
-                          **_section(data, "postprocess", PostProcessPolicy, hints)),
-                      budget=PathBudget(**_section(data, "paths", PathBudget, hints)),
+                          **_section(data, "postprocess", PostProcessPolicy)),
+                      budget=PathBudget(**_section(data, "paths", PathBudget)),
                       **values)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc

@@ -111,7 +111,7 @@ def time_online(repo: CompiledRepository, lines: list[str], repetitions: int = 1
         raise ValueError("repetitions must be >= 1")
     elapsed = 0.0
     for _ in range(repetitions):
-        tree = tree_factory() if tree_factory is not None else None
+        tree = tree_factory()
         start = time.perf_counter()
         run_stream(repo, lines, tree, header_pattern)
         elapsed += time.perf_counter() - start

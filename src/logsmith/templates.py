@@ -109,9 +109,6 @@ class TemplateBody:
     def has_constant(self) -> bool:
         return any(s is not WILD for s in self.segments)
 
-    def __str__(self) -> str:
-        return self.render()
-
 
 def level_rank(level: str) -> int:
     """Severity rank of a log level (0 = trace ... 5 = fatal)."""

@@ -11,8 +11,6 @@ path, and never aborts the project run.
 
 from __future__ import annotations
 
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -87,37 +85,17 @@ def extract_project(files: list[ProjectFile], gateway=None, *,
                     gateway_config: GatewayConfig = GatewayConfig(),
                     policy: PostProcessPolicy = PostProcessPolicy(),
                     budget: PathBudget = PathBudget(),
-                    builtin_methods=DEFAULT_BUILTIN_METHODS,
-                    workers: int = 1) -> Iterator[UnitExtraction]:
+                    builtin_methods=DEFAULT_BUILTIN_METHODS) -> Iterator[UnitExtraction]:
     """Yield each parsed file's extraction, in input order.
 
     One call graph over all files resolves helper calls, and a unit's paths
-    are enumerated only when that unit is reached, so what is held beyond
-    the parsed project is the units in flight. With ``workers > 1``, units
-    are extracted concurrently (no stage changes the parsed project, and
-    gateways are called at most ``workers`` at a time), and at most
-    ``2 * workers`` units are started ahead of the one yielded.
+    are enumerated and its gateway calls made only when that unit is
+    reached, so what is held beyond the parsed project is one unit.
     """
     analyses = analyze_project([f.unit for f in files], budget, builtin_methods)
     project = {f.unit.fqn: f for f in files}
     if gateway is None:
         gateway = make_gateway(gateway_config, budget, builtin_methods)
-
-    def run_one(entry: ProjectFile, enumerations: list[PathEnumeration]) -> UnitExtraction:
-        return extract_unit(entry, project, enumerations, gateway,
-                            gateway_config=gateway_config, policy=policy)
-
-    if workers == 1 or len(files) < 2:
-        yield from map(run_one, files, analyses)
-        return
-    pool = ThreadPoolExecutor(max_workers=workers)
-    pending = deque()
-    try:
-        for entry, enumerations in zip(files, analyses):
-            pending.append(pool.submit(run_one, entry, enumerations))
-            if len(pending) == 2 * workers:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-    finally:  # a caller that stops early starts no further unit
-        pool.shutdown(cancel_futures=True)
+    for entry, enumerations in zip(files, analyses):
+        yield extract_unit(entry, project, enumerations, gateway,
+                           gateway_config=gateway_config, policy=policy)

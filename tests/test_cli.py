@@ -1050,13 +1050,11 @@ FLAG_CASES = [
      lambda c: c.allow_empty_inner),
     (["--builtin-methods", "trim, valueOf"], "analyzer", "builtin_methods",
      ["concat"], ["trim", "valueOf"], lambda c: tuple(c.builtin_methods)),
-    (["--workers", "3"], None, "workers", 2, 3, lambda c: c.workers),
 ]
 
 
 def _yaml_config(path, section, key, value):
-    data = {key: value} if section is None else {section: {key: value}}
-    path.write_text(yaml.safe_dump(data), encoding="utf-8")
+    path.write_text(yaml.safe_dump({section: {key: value}}), encoding="utf-8")
     return path
 
 
@@ -1092,12 +1090,25 @@ def test_flag_sets_its_field_over_the_config_file(tmp_path, argv, section, key,
     assert _flag_config(argv) == same
 
 
+def test_workers_is_neither_a_flag_nor_a_config_key(tmp_path, capsys):
+    extract_argv = ["extract", str(EXAMPLE_PROJECT), "--out", str(tmp_path / "r.jsonl")]
+    with pytest.raises(SystemExit) as exited:
+        main(extract_argv + ["--workers", "2"])
+    assert exited.value.code == EXIT_FATAL
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+    config = tmp_path / "config.yaml"
+    config.write_text("workers: 2\n", encoding="utf-8")
+    assert main(extract_argv + ["--config", str(config)]) == EXIT_FATAL
+    assert capsys.readouterr().err == "error: unknown top-level keys: workers\n"
+    assert not (tmp_path / "r.jsonl").exists()
+
+
 # argv rows for the command-line parser: ``main`` builds the arguments of
 # the command it dispatches to only, and must parse each row as the full
 # parser does, with the same help and errors.
 ARGV_ROWS = {
     "extract": ["extract", "proj", "--out", "r.jsonl", "--report-dir", "d",
-                "--workers", "2", "--builtin-methods", "trim,valueOf"],
+                "--max-retries", "2", "--builtin-methods", "trim,valueOf"],
     "parse": ["parse", "r.jsonl", "-", "--out", "o.jsonl", "--append-blackbox",
               "--header-pattern", "^x ", "--config", "c.yaml"],
     "eval": ["eval", "p.txt", "t.txt", "--log-file", "l", "--repetitions", "3",
@@ -1110,7 +1121,7 @@ ARGV_ROWS = {
     "unknown command": ["evaluate", "p.txt", "t.txt"],
     "missing positional": ["eval", "p.txt"],
     "extra positional": ["eval", "p.txt", "t.txt", "u.txt"],
-    "bad int": ["eval", "p.txt", "t.txt", "--workers", "x"],
+    "bad int": ["eval", "p.txt", "t.txt", "--max-retries", "x"],
     "unknown option": ["eval", "a", "b", "--bogus"],
     "unknown option before the command": ["--bogus", "eval", "p.txt", "t.txt"],
     "ambiguous option": ["parse", "r", "l", "--he", "x"],
@@ -1185,18 +1196,6 @@ def _extract_outputs(project_dir, out_dir, flags):
     return out.read_bytes(), files
 
 
-@pytest.mark.parametrize("corpus", ["example", "generated"])
-def test_extract_workers_match_serial_run(tmp_path, capsys, corpus):
-    if corpus == "example":
-        project_dir = EXAMPLE_PROJECT
-    else:
-        project_dir = _generated_corpus(tmp_path / "corpus", range(40))
-    serial = _extract_outputs(project_dir, tmp_path / "serial", ["--workers", "1"])
-    pooled = _extract_outputs(project_dir, tmp_path / "pooled", ["--workers", "3"])
-    assert serial[0] and serial[1]
-    assert pooled == serial
-
-
 def _logging_project(directory: Path, names) -> Path:
     """One class per name, each with one log call of its own."""
     directory.mkdir()
@@ -1221,19 +1220,17 @@ class _RecordingGateway(MockGateway):
         return super().send(prompt)
 
 
-@pytest.mark.parametrize("workers", [1, 3])
-def test_extract_project_enumerates_and_sends_as_units_are_pulled(tmp_path, workers):
+def test_extract_project_enumerates_and_sends_as_units_are_pulled(tmp_path):
     names = [f"C{index:02d}" for index in range(12)]
     project = _logging_project(tmp_path / "project", names)
     files = [extract.ProjectFile(unit=parse_source(path.read_text(), str(path)),
                                  text=path.read_text())
              for path in sorted(project.glob("*.java"))]
     recording = _RecordingGateway()
-    units = extract.extract_project(files, recording, workers=workers)
+    units = extract.extract_project(files, recording)
     assert recording.seen == []  # nothing runs before the first unit is pulled
     first = next(units)
-    # one unit at a time, or a window of 2 * workers units in flight
-    assert 1 <= len(recording.seen) <= (1 if workers == 1 else 2 * workers)
+    assert len(recording.seen) == 1  # one unit at a time
     rest = list(units)
     assert [unit.unit.class_name for unit in [first] + rest] == names
     assert len(recording.seen) == len(names)

@@ -1,11 +1,18 @@
 from __future__ import annotations
 
+import re
+from dataclasses import dataclass, fields
+from dataclasses import field as dc_field
+from pathlib import Path
+
 import pytest
+import yaml
 
 from logsmith import config as config_module
+from logsmith.analyzer import PathBudget
 from logsmith.blackbox import ClusterTree
-from logsmith.config import Config, ConfigError, build_config
-from logsmith.whitebox import GatewayConfig
+from logsmith.config import SECTIONS, Config, ConfigError, build_config
+from logsmith.whitebox import GatewayConfig, PostProcessPolicy
 
 from conftest import load_config
 
@@ -25,7 +32,6 @@ def test_defaults():
     assert config.header_pattern is None
     assert config.allow_empty_inner is False
     assert "toUpperCase" in config.builtin_methods
-    assert config.workers == 1
 
 
 def test_make_tree_uses_configured_parameters():
@@ -61,8 +67,7 @@ def test_full_yaml_round_trip(tmp_path):
         "  header_pattern: '^\\S+ '\n"
         "  allow_empty_inner: true\n"
         "analyzer:\n"
-        "  builtin_methods: [trim, concat]\n"
-        "workers: 3\n",
+        "  builtin_methods: [trim, concat]\n",
         encoding="utf-8")
     config = load_config(path)
     assert config.gateway.endpoint == "https://api.test/v1"
@@ -80,7 +85,6 @@ def test_full_yaml_round_trip(tmp_path):
     assert config.header_pattern == "^\\S+ "
     assert config.allow_empty_inner is True
     assert config.builtin_methods == ("trim", "concat")
-    assert config.workers == 3
 
 
 def test_empty_file_gives_defaults(tmp_path):
@@ -187,26 +191,66 @@ def test_bad_header_pattern_rejected(tmp_path):
 
 def test_direct_construction_validates():
     with pytest.raises(ValueError):
-        Config(workers=0)
-    with pytest.raises(ValueError):
         Config(tree_depth=1)
 
 
-@pytest.mark.parametrize("data, resolved", [
-    ({}, []),
-    ({"tree": {}, "gateway": None, "paths": {}}, []),
-    ({"workers": 2}, [Config]),
-    ({"tree": {"depth": 5}, "matching": {"allow_empty_inner": True},
-      "analyzer": {"builtin_methods": []}, "workers": 2}, [Config]),
-    ({"gateway": {"max_retries": 2}, "workers": 3}, [Config, GatewayConfig]),
-])
-def test_type_hints_resolved_only_for_given_keys_and_once(monkeypatch, data, resolved):
-    calls = []
+# The class whose fields each section sets, and the prefix of their names.
+SECTION_FIELDS = {"gateway": (GatewayConfig, ""), "postprocess": (PostProcessPolicy, ""),
+                  "tree": (Config, "tree_"), "paths": (PathBudget, ""),
+                  "matching": (Config, ""), "analyzer": (Config, "")}
 
-    def get_type_hints(owner):
-        calls.append(owner)
-        return real(owner)
-    real = config_module.get_type_hints
-    monkeypatch.setattr(config_module, "get_type_hints", get_type_hints)
+
+def untyped_fields(owner: type, names) -> list[str]:
+    """The fields of ``owner`` named in ``names`` whose annotation ``_TYPES``
+    does not know."""
+    annotations = {item.name: item.type for item in fields(owner)}
+    return [name for name in names if annotations[name] not in config_module._TYPES]
+
+
+def test_every_field_a_section_names_has_an_annotation_the_file_types_know():
+    assert SECTION_FIELDS.keys() == SECTIONS.keys()
+    for name, keys in SECTIONS.items():
+        owner, prefix = SECTION_FIELDS[name]
+        assert untyped_fields(owner, sorted(prefix + key for key in keys)) == [], name
+
+
+def test_an_annotation_the_file_types_do_not_know_fails_the_check():
+    @dataclass(frozen=True)
+    class Planted:
+        depth: int = 1
+        sizes: list[int] = dc_field(default_factory=list)
+
+    assert untyped_fields(Planted, ["depth", "sizes"]) == ["sizes"]
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_config_block(text: str) -> str:
+    """The fenced ``yaml`` block under the README's ``## Configuration``."""
+    section = text.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    return section.split("```yaml\n", 1)[1].split("```", 1)[0]
+
+
+def check_config_block(block: str) -> None:
+    """Fail unless ``block`` builds and sets every key of every section."""
+    data = yaml.safe_load(block)
     build_config(data)
-    assert sorted(calls, key=lambda owner: owner.__name__) == resolved
+    assert {name: set(section) for name, section in data.items()} == SECTIONS
+
+
+def test_readme_config_block_sets_exactly_the_schema():
+    check_config_block(readme_config_block(README.read_text(encoding="utf-8")))
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda block: block + "workers: 1\n", id="stale workers line"),
+    pytest.param(lambda block: re.sub(r"^  model: .*\n", "", block, flags=re.M),
+                 id="missing key"),
+])
+def test_a_planted_edit_of_the_config_block_fails_the_check(edit):
+    block = readme_config_block(README.read_text(encoding="utf-8"))
+    planted = edit(block)
+    assert planted != block
+    with pytest.raises((ConfigError, AssertionError)):
+        check_config_block(planted)

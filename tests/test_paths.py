@@ -12,7 +12,7 @@ from logsmith.analyzer import (
     parse_source,
 )
 from logsmith.analyzer.parser import MAX_NESTING
-from logsmith.analyzer.paths import KIND_BUILTIN, KIND_LOG, KIND_UNKNOWN
+from logsmith.analyzer.paths import KIND_BUILTIN, KIND_LOG, KIND_UNKNOWN, MAX_CALLS_PER_SITE
 
 from generator import generate_project
 
@@ -235,6 +235,30 @@ def test_call_arguments_are_never_traced():
         '      return "A";\n    } else {\n      return "B";\n    }\n  }\n}\n')
     enumeration = enumerate_paths(site, graph)
     assert _rendered(enumeration) == ["stable"]
+
+
+def fan_out_source(k: int) -> str:
+    """Nine helpers, each returning the next one ``k`` times, and one log call:
+    tracing it whole takes 1 + k + ... + k ** 8 calls."""
+    helpers = [f"  static String g{i}(String a) {{ return "
+               + " + ".join([f"g{i + 1}(a)"] * k) + "; }\n" for i in range(1, 9)]
+    return ("package p;\nclass Fan {\n" + "".join(helpers)
+            + '  static String g9(String a) { return "leaf" + a; }\n'
+            + '  void run(String a) { log.info("x=" + g1(a)); }\n}\n')
+
+
+@pytest.mark.parametrize("k, truncated", [(2, False), (5, True)])
+def test_calls_traced_per_site_are_bounded(k, truncated):
+    site, graph = _single_site(fan_out_source(k))
+    budget = PathBudget(max_call_depth=9)  # deep enough to enter every helper
+    enumeration = enumerate_paths(site, graph, budget)
+    assert enumeration.truncated is truncated
+    # the log step, then one step per call traced
+    steps = [len(path.steps) for path in enumeration.paths]
+    assert steps == [1 + min(sum(k ** level for level in range(9)), MAX_CALLS_PER_SITE)]
+    # the gateway's mock traces without steps under the same bound
+    bare = enumerate_paths(site, graph, budget, with_steps=False)
+    assert (bare.truncated, _rendered(bare)) == (truncated, _rendered(enumeration))
 
 
 def _generated_units(seeds):

@@ -132,3 +132,43 @@ def test_report_ends_with_single_newline(example_sites, example_graph):
     rendered = render_report(_example_report(example_sites, example_graph))
     assert rendered.endswith("complete paths found.\n")
     assert not rendered.endswith("\n\n")
+
+
+_AUX = "package p;\nclass Aux {\n  static String other(String a) { return a; }\n}\n"
+_MAIN = """package p;
+class Main {
+  void run(String a, Widget w) {
+    log.info("s=" + "x".trim());
+    log.info("m=" + Aux.missing(a));
+    log.info("w=" + w.size());
+    log.info("u=" + Util.fmt(a));
+    log.info("n=" + name.trim());
+    log.info("c=" + f(a).trim());
+    log.info("v=" + g(a));
+    log.info();
+    log.info("o=" + Main.h(a));
+  }
+  String f(String a) { return a; }
+  void g(String a) { a.trim(); }
+  static String h(String a) { return "own"; }
+}
+"""
+
+
+def test_step_classes_and_kinds_of_each_call_shape():
+    main = parse_source(_MAIN, "Main.java")
+    graph = build_call_graph([parse_source(_AUX, "Aux.java"), main])
+    report = build_report([enumerate_paths(site, graph) for site in find_log_calls(main)])
+    log = ("p.Main", "log-invocation")
+    assert [[(path["yielded"], [(step["class"], step["kind"]) for step in path["steps"]])
+             for path in call["paths"]] for call in report.to_dict()["calls"]] == [
+        [("s=<.*>", [log, ("java.lang.String", "built-in")])],
+        [("m=<.*>", [log, ("p.Aux", "unknown")])],  # a project class without that method
+        [("w=<.*>", [log, ("Widget", "unknown")])],  # a parameter's declared type
+        [("u=<.*>", [log, ("Util", "unknown")])],  # a class-looking name
+        [("n=<.*>", [log, ("java.lang.String", "built-in")])],  # an undeclared name
+        [("c=<.*>", [log, ("java.lang.String", "built-in")])],  # a call result
+        [("v=<.*>", [log, ("p.Main", "user-method")])],  # a helper returning nothing
+        [("", [log])],  # a log call without arguments
+        [("o=own", [log, ("p.Main", "user-method")])],  # the calling class's own name
+    ]

@@ -41,6 +41,11 @@ def test_first_well_formed_array_wins():
     assert parse_response(text) == [RECORD]
 
 
+def test_an_array_holding_a_non_object_is_skipped():
+    mixed = '[{"method": "A.m", "template": "t", "level": "info"}, 5]'
+    assert parse_response(f"first {mixed} then {ARRAY}") == [RECORD]
+
+
 def test_bracket_noise_is_skipped():
     text = f"score[3] = [1, 2 then the array:\n{ARRAY}"
     assert parse_response(text) == [RECORD]
