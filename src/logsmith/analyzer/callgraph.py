@@ -3,9 +3,9 @@
 The call graph maps (class fqn, method name, arity) to the first method
 the class declares with that key; of two files declaring one class, the later
 file's method is kept. Call expressions whose receiver names an imported or
-same-package class, or bare calls within the declaring class, resolve to
-project methods; anything else is left for the built-in / unknown
-classification done during path enumeration.
+same-package class resolve through that map; a bare call resolves to the
+first such method of the calling file itself. Anything else is left for the
+built-in / unknown classification done during path enumeration.
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ class ResolvedTarget:
 class CallGraph:
     methods: dict[tuple[str, str, int], ResolvedTarget] = field(default_factory=dict)
     units_by_fqn: dict[str, SourceUnit] = field(default_factory=dict)
+    # bare-call targets by (id of the unit, name, arity); a target keeps its unit alive
+    own: dict[tuple[int, str, int], ResolvedTarget] = field(default_factory=dict)
 
     def resolve_class(self, unit: SourceUnit, name: str) -> str | None:
         """Resolve a simple class name as seen from ``unit``, or None."""
@@ -46,12 +48,12 @@ class CallGraph:
     def resolve_call(self, unit: SourceUnit, call: Call) -> ResolvedTarget | None:
         """Resolve a call expression to a project method, or None.
 
-        Bare calls look up the declaring class; calls on a class-name
+        Bare calls look up the calling file; calls on a class-name
         receiver look up the named class. Calls on values (parameters,
         literals, other call results) never resolve here.
         """
         if call.receiver is None:
-            return self.methods.get((unit.fqn, call.method, len(call.args)))
+            return self.own.get((id(unit), call.method, len(call.args)))
         if isinstance(call.receiver, Ident):
             fqn = self.resolve_class(unit, call.receiver.name)
             if fqn is not None:
@@ -66,6 +68,7 @@ def build_call_graph(units: Iterable[SourceUnit]) -> CallGraph:
         graph.units_by_fqn[unit.fqn] = unit
         # reversed, so the first of two same-arity overloads is the one kept
         for method in reversed(unit.methods):
-            key = (unit.fqn, method.name, len(method.params))
-            graph.methods[key] = ResolvedTarget(unit, method)
+            target = ResolvedTarget(unit, method)
+            graph.methods[target.key] = target
+            graph.own[(id(unit), method.name, len(method.params))] = target
     return graph

@@ -61,8 +61,8 @@ def _walk_exprs(stmts):
 def _sub_exprs(expr):
     yield expr
     if isinstance(expr, Concat):
-        yield from _sub_exprs(expr.left)
-        yield from _sub_exprs(expr.right)
+        for part in expr.parts:
+            yield from _sub_exprs(part)
     elif isinstance(expr, Call):
         if expr.receiver is not None:
             yield from _sub_exprs(expr.receiver)

@@ -175,9 +175,9 @@ class _Tracer:
         self.conditional = False
         self.external = False
         self.cycles: list[tuple[str, ...]] = []
-        # callee source per helper key: a helper reached on several branch
-        # combinations of this site is rendered once
-        self.sources: dict[tuple[str, str, int], str] = {}
+        # callee source by the id of its method, which the graph keeps alive: a
+        # helper reached on several branch combinations is rendered once
+        self.sources: dict[int, str] = {}
 
     def expr(self, expr, unit: SourceUnit, method: MethodDecl,
              stack: tuple) -> Iterator[_Alt]:
@@ -187,9 +187,21 @@ class _Tracer:
         elif isinstance(expr, Ident):
             yield ((WILD,), ())
         elif isinstance(expr, Concat):
-            for left_segs, left_steps in self.expr(expr.left, unit, method, stack):
-                for right_segs, right_steps in self.expr(expr.right, unit, method, stack):
-                    yield (left_segs + right_segs, left_steps + right_steps)
+            # nested loops over the parts, in one frame: a later part is traced
+            # again per combination of those before it, held in segs and steps
+            parts, segs, steps = expr.parts, [], []
+            walks = [(self.expr(parts[0], unit, method, stack), 0, 0)]
+            while walks:
+                walk, nsegs, nsteps = walks[-1]
+                alt = next(walk, None)
+                if alt is None:
+                    walks.pop()
+                elif len(walks) == len(parts):
+                    yield (tuple(segs) + alt[0], tuple(steps) + alt[1])
+                else:
+                    segs[nsegs:], steps[nsteps:] = alt
+                    walks.append((self.expr(parts[len(walks)], unit, method, stack),
+                                  len(segs), len(steps)))
         elif isinstance(expr, Call):
             yield from self.call(expr, unit, method, stack)
         else:
@@ -216,9 +228,9 @@ class _Tracer:
         key = target.key
         step = ()
         if self.with_steps:
-            source = self.sources.get(key)
+            source = self.sources.get(id(target.method))
             if source is None:
-                source = self.sources[key] = method_to_source(target.method)
+                source = self.sources[id(target.method)] = method_to_source(target.method)
             step = (PathStep(
                 class_fqn=target.unit.fqn,
                 call_code=expr_to_source(call),

@@ -12,15 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .logcalls import LogCallSite
-from .paths import KIND_USER, PathEnumeration
+from .paths import KIND_BUILTIN, KIND_LOG, KIND_UNKNOWN, KIND_USER, PathEnumeration
 from .syntax import escape_string
 
 UNDEFINED_TEMPLATE = "undefined template"
 
 _KIND_TEXT = {
-    "log-invocation": "log method invocation",
-    "built-in": "built-in method",
-    "unknown": "unknown method",
+    KIND_LOG: "log method invocation",
+    KIND_BUILTIN: "built-in method",
+    KIND_UNKNOWN: "unknown method",
 }
 
 

@@ -29,8 +29,7 @@ class Ident:
 
 @dataclass(slots=True)
 class Concat:
-    left: "Expr"
-    right: "Expr"
+    parts: tuple["Expr", ...]  # a whole "+" chain: two or more operands
 
 
 @dataclass(slots=True)
@@ -115,7 +114,7 @@ def expr_to_source(expr) -> str:
     if isinstance(expr, Ident):
         return expr.name
     if isinstance(expr, Concat):
-        return f"{expr_to_source(expr.left)} + {expr_to_source(expr.right)}"
+        return " + ".join(map(expr_to_source, expr.parts))
     if isinstance(expr, Call):
         args = ", ".join(expr_to_source(a) for a in expr.args)
         if expr.receiver is None:

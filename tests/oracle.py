@@ -107,9 +107,7 @@ class Interpreter:
         if isinstance(expr, Ident):
             return run.marker()
         if isinstance(expr, Concat):
-            left = self._eval(expr.left, unit, run, stack)
-            right = self._eval(expr.right, unit, run, stack)
-            return left + right
+            return "".join([self._eval(part, unit, run, stack) for part in expr.parts])
         if isinstance(expr, Call):
             resolved = self._resolve(unit, expr)
             if resolved is None:

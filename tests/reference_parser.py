@@ -1,9 +1,11 @@
 """The analyzer's parser before its one-scan lexer and flatter parser.
 
-Kept unchanged, apart from this docstring and importing
-:class:`SourceSyntaxError` rather than defining it, as the reference that
-``test_parser.py`` compares ``parse_source`` and ``parse_sources`` against:
-the same units, or the same error text, for every input. Its lexer walks
+Kept unchanged, apart from this docstring, importing
+:class:`SourceSyntaxError` rather than defining it, and ``parse_expr``
+building a ``+`` chain as one n-ary :class:`Concat` at one nesting level,
+as the reference that ``test_parser.py`` compares ``parse_source`` and
+``parse_sources`` against: the same units, or the same error text, for
+every input. Its lexer walks
 ``finditer`` matches and stops at the first text that starts no token; its
 parser has one method per grammar rule.
 """
@@ -38,10 +40,11 @@ _STRING_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "b": "\b", "f": "\f",
                    '"': '"', "'": "'", "\\": "\\"}
 
 # Deepest nesting the parser accepts: parentheses, call arguments, if and
-# else-if levels, and one level per "+" operand or "." call link, since those
-# build left-nested trees. Every later stage recurses over these trees, and a
-# chain of helpers each nested this deep still fits Python's default
-# recursion limit when paths are traced through all of them.
+# else-if levels, and one level per "." call link, since a call chain builds
+# a left-nested tree. A "+" chain of any length is one level: it is one
+# Concat node. Every later stage recurses over these trees, and a chain of
+# helpers each nested this deep still fits Python's default recursion limit
+# when paths are traced through all of them.
 MAX_NESTING = 64
 
 _PUNCT = "{}();,.+"
@@ -262,14 +265,13 @@ class _Parser:
     def parse_expr(self):
         outer = self.depth
         self.nest()
-        expr = self.parse_postfix()
+        parts = [self.parse_postfix()]
         tokens = self.tokens
         while tokens[self.pos][0] == "+":
             self.pos += 1
-            self.nest()
-            expr = Concat(expr, self.parse_postfix())
+            parts.append(self.parse_postfix())
         self.depth = outer
-        return expr
+        return parts[0] if len(parts) == 1 else Concat(tuple(parts))
 
     def parse_postfix(self):
         outer = self.depth

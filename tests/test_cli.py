@@ -111,6 +111,17 @@ def test_extract_nothing_parsed(tmp_path, capsys):
     assert "skipped" in err and "no source file parsed" in err
 
 
+def test_report_nothing_parsed(tmp_path, capsys):
+    broken = tmp_path / "project"
+    broken.mkdir()
+    (broken / "Bad.java").write_text("this is not in the subset", encoding="utf-8")
+    assert main(["report", str(broken)]) == EXIT_PARTIAL == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"warning: skipped {broken / 'Bad.java'}: line 1: ")
+    assert captured.err.endswith("error: no source file parsed\n")
+
+
 def test_extract_partial_parse_is_ok(tmp_path, capsys):
     mixed = tmp_path / "project"
     shutil.copytree(EXAMPLE_PROJECT, mixed)
@@ -300,7 +311,8 @@ _ELSE_IF_CHAIN = "".join(f'if (a.isEmpty()) {{ log.info("b{i}"); }} else '
 _DEEPLY_NESTED = {
     "parentheses": "log.info(" + "(" * 3_000 + "a" + ")" * 3_000 + ");",
     "else-if chain": _ELSE_IF_CHAIN,
-    "plus chain": "log.info(" + " + ".join(["a"] * 2_000) + ");",
+    # each operand's parentheses nest; the chain itself is one level
+    "plus chain": "log.info(" + "a + (" * 2_000 + "a" + ")" * 2_000 + ");",
     "call chain": "log.info(a" + ".trim()" * 3_000 + ");",
 }
 
@@ -324,6 +336,34 @@ def test_deeply_nested_file_is_skipped(tmp_path, capsys, command, shape):
             encoding="utf-8")
 
 
+@pytest.mark.parametrize("statement", ["return {};", "log.info({});"])
+@pytest.mark.parametrize("command", ["extract", "report"])
+def test_a_long_plus_chain_keeps_its_file(tmp_path, capsys, command, statement):
+    # a "+" chain is one nesting level however many operands it joins
+    chain = " + ".join(['"x"', "a"] * 500)
+    log = ('  void f(String a) { log.info("v=" + g(a)); }\n'
+           if statement.startswith("return") else "")
+    project = tmp_path / "project"
+    project.mkdir()
+    (project / "X.java").write_text(
+        "package p;\nclass X {\n" + log + "  String g(String a) { "
+        + statement.format(chain) + " }\n}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    json_out = ["--json", str(tmp_path / "report.json")] if command == "report" else []
+    assert main([command, str(project), "--out", str(out)] + json_out) == EXIT_OK
+    assert capsys.readouterr().err.count("warning") == 0
+    template = "v=" * statement.startswith("return") + "x<.*>" * 500
+    if command == "extract":
+        assert [t.body.render() for t in load_repository(out)] == [template]
+        record = json.loads((tmp_path / "out.reports" / "X.report.json").read_text(
+            encoding="utf-8"))
+    else:
+        record = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    (call,) = record["calls"]
+    assert [path["yielded"] for path in call["paths"]] == [template]
+    assert call["flags"]["truncated"] is False
+
+
 @pytest.mark.parametrize("command", ["extract", "report"])
 def test_non_utf8_source_is_skipped(tmp_path, capsys, command):
     mixed = tmp_path / "project"
@@ -345,10 +385,14 @@ def test_non_utf8_source_is_skipped(tmp_path, capsys, command):
             in captured.err)
 
 
-# shape: (what helper i returns, nested to the parser's bound; the template)
+# shape: (what helper i returns, nested to the parser's bound; the template).
+# A flat "plus chain" is one level, so only its parenthesized form nests.
 _HELPER_CHAINS = {
     "plus chain": (lambda i: f"g{i + 1}(a)" + ' + "x"' * (MAX_NESTING - 1),
                    "end<.*>" + "x" * ((MAX_CALL_DEPTH - 1) * (MAX_NESTING - 1))),
+    "parenthesized plus chain": (
+        lambda i: '"x" + (' * (MAX_NESTING - 2) + f"g{i + 1}(a)" + ")" * (MAX_NESTING - 2),
+        "x" * ((MAX_CALL_DEPTH - 1) * (MAX_NESTING - 2)) + "end<.*>"),
     "call chain": (lambda i: f"g{i + 1}(a" + ".trim()" * (MAX_NESTING - 2) + ")",
                    "end<.*>"),
     "nested call arguments": (

@@ -71,6 +71,18 @@ def test_mock_reads_every_file_past_its_comments():
     assert MockGateway().send(prompt) == MockGateway().send(_example_prompt())
 
 
+def test_mock_resolves_a_bare_call_in_the_unit_that_makes_it():
+    # the prompt's units share one path; B's f does not take A's bare f(x)
+    java_code = ('package p;\nimport q.B;\nclass A {\n'
+                 '  String f(String a) { return "a"; }\n'
+                 '  void run(String x) { log.info(f(x) + B.g(x)); }\n}\n'
+                 'package q;\nclass B {\n'
+                 '  String f(String a) { return "b"; }\n'
+                 '  String g(String a) { return f(a); }\n}\n')
+    records = parse_response(MockGateway().send(build_prompt(java_code, "")))
+    assert [record.template for record in records] == ["ab"]
+
+
 def test_mock_renders_no_path_steps(monkeypatch):
     # the mock reads only each path's template; the analysis that wrote the
     # prompt renders every step's call code and callee source

@@ -76,6 +76,39 @@ def test_the_first_same_arity_overload_wins():
     assert yielded == ["v=first", "w=first"]
 
 
+def _one_class(value: str) -> str:
+    return ('package p;\nclass A {\n'
+            f'  String f(String a) {{ return "{value}"; }}\n'
+            '  void run(String x) { log.info("v=" + f(x)); }\n}\n')
+
+
+def test_a_bare_call_resolves_in_the_calling_file():
+    # two files declare p.A; each file's bare call steps into its own f
+    sources = [("a/A.java", _one_class("one")), ("b/A.java", _one_class("two"))]
+    _check_sources(sources)
+    units = [parse_source(text, path) for path, text in sources]
+    graph = build_call_graph(units)
+    paths = [path for unit in units for site in find_log_calls(unit)
+             for path in enumerate_paths(site, graph, ROOMY_BUDGET).paths]
+    assert [path.yielded.render() for path in paths] == ["v=one", "v=two"]
+    assert ['return "one";' in paths[0].steps[1].callee_source,
+            'return "two";' in paths[1].steps[1].callee_source] == [True, True]
+
+
+def test_each_step_shows_the_source_of_its_own_file():
+    # a/A.java's bare f(x) is its own f, A.f(x) the later file's f of the same key
+    caller = _one_class("one").replace('log.info("v=" + f(x))',
+                                       'log.info(f(x) + "|" + A.f(x))')
+    sources = [("a/A.java", caller), ("b/A.java", _one_class("two"))]
+    _check_sources(sources)
+    units = [parse_source(text, path) for path, text in sources]
+    (site,) = find_log_calls(units[0])
+    (path,) = enumerate_paths(site, build_call_graph(units), ROOMY_BUDGET).paths
+    assert path.yielded.render() == "one|two"
+    assert ['return "one";' in path.steps[1].callee_source,
+            'return "two";' in path.steps[2].callee_source] == [True, True]
+
+
 def test_oracle_on_example_site(example_units, example_graph, example_sites):
     interpreter = Interpreter(example_units)
     strings = interpreter.run_site(example_sites[0])

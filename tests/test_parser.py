@@ -32,7 +32,7 @@ def test_an_identifier_is_one_object_across_files():
     assert a_run.params[0][0] is b_run.params[0][0] is b_run.body[0].value.name
     assert a_run.params[0][1] is b_run.return_type  # "String"
     (site,) = find_log_calls(first)
-    assert site.args[0].right.name is b_run.params[0][0]
+    assert site.args[0].parts[1].name is b_run.params[0][0]
 
 def test_parse_foo_listing():
     unit = parse_source((EXAMPLE_PROJECT / "Foo.java").read_text(), "Foo.java")
@@ -58,18 +58,36 @@ def test_empty_class_body():
     assert unit.methods == ()
 
 
-def test_concat_is_left_associative():
+def test_concat_holds_the_whole_chain():
     unit = parse_source(
         'package p;\nclass X {\n  String g(String x) {\n'
-        '    return "a" + f(x) + "b";\n  }\n}\n', "X.java")
+        '    return "a" + f(x) + "b" + ("c" + x);\n  }\n}\n', "X.java")
     ret = unit.methods[0].body[0]
     assert isinstance(ret, Return)
-    expected = Concat(
-        left=Concat(left=StrLit(text="a"),
-                    right=Call(receiver=None, method="f",
-                               args=(Ident(name="x"),), line=4)),
-        right=StrLit(text="b"))
+    expected = Concat(parts=(
+        StrLit(text="a"),
+        Call(receiver=None, method="f", args=(Ident(name="x"),), line=4),
+        StrLit(text="b"),
+        Concat(parts=(StrLit(text="c"), Ident(name="x")))))
     assert ret.value == expected
+
+
+# (statement, parentheses that bring its chain to the bound)
+@pytest.mark.parametrize("statement, depth", [("return {};", MAX_NESTING - 1),
+                                              ("log.info({});", MAX_NESTING - 3)])
+def test_a_long_chain_is_one_nesting_level(statement, depth):
+    chain = " + ".join(["a", '"x"'] * 500)
+    nested = "(" * depth + chain + ")" * depth
+    text = ("package p;\nclass X {\n  String g(String a) {\n    "
+            f"{statement.format(nested)}\n  }}\n}}\n")
+    value = parse_source(text, "X.java").methods[0].body[0]
+    value = value.value if isinstance(value, Return) else value.expr.args[0]
+    assert isinstance(value, Concat) and len(value.parts) == 1_000
+    assert expr_to_source(value) == chain
+    # one more parenthesis is one level too many
+    with pytest.raises(SourceSyntaxError) as error:
+        parse_source(text.replace(nested, f"({nested})"), "X.java")
+    assert str(error.value) == "line 4: source nested too deep"
 
 
 def test_string_escapes_unescaped():
@@ -141,11 +159,12 @@ def test_unterminated_string_rejected():
 
 
 # Each shape at n levels nests n + 1 deep, counting the expression or the
-# condition it sits in; a "+" chain of n operands nests n deep.
+# condition it sits in. A "+" chain of any length is one level, so the plus
+# operands nest only through the parentheses around each.
 _NESTING_SHAPES = {
     "parentheses": lambda n: "return " + "(" * n + "a" + ")" * n + ";",
     "call arguments": lambda n: "return " + "f(" * n + "a" + ")" * n + ";",
-    "plus operands": lambda n: "return " + " + ".join(["a"] * n) + ";",
+    "plus operands": lambda n: "return " + "a + (" * n + "a" + ")" * n + ";",
     "call links": lambda n: "return a" + ".trim()" * n + ";",
     "if": lambda n: "if (a) " * n + "return a;",
     "else if": lambda n: "if (a) return a; else " * n + "return a;",

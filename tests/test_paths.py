@@ -188,8 +188,8 @@ def test_if_without_a_return_does_not_fork():
 
 
 def test_helper_chain_nested_to_the_bound_enumerates():
-    # every helper returns a "+" chain as deep as the parser accepts, and
-    # the default budget traces through all of them
+    # every helper returns a "+" chain of 64 operands, and the default
+    # budget traces through all of them
     helpers = PathBudget().max_call_depth
     padding = ' + "x"' * (MAX_NESTING - 1)
     methods = "".join(
@@ -203,6 +203,22 @@ def test_helper_chain_nested_to_the_bound_enumerates():
     assert _rendered(enumeration) == ["end" + "x" * (helpers * (MAX_NESTING - 1))]
     assert not enumeration.truncated
     assert len(enumeration.paths[0].steps) == helpers + 1
+
+
+def test_a_chain_traces_each_part_again_per_combination_before_it():
+    # as nested loops: b(a) is traced once per alternative of c(a), and
+    # the paths come in the order of the product of the parts' alternatives
+    site, graph = _single_site(
+        "package p;\nclass X {\n"
+        '  void f(String a) { log.error(c(a) + "-" + b(a) + c(a)); }\n'
+        '  String b(String a) { if (a.isEmpty()) { return "0"; } return "1"; }\n'
+        '  String c(String a) { if (a.isEmpty()) { return "x"; } return "y"; }\n}\n')
+    enumeration = enumerate_paths(site, graph)
+    assert _rendered(enumeration) == [f"{c1}-{b}{c2}" for c1 in "xy" for b in "01"
+                                      for c2 in "xy"]
+    assert [[step.call_code for step in path.steps[1:]] for path in enumeration.paths] \
+        == [["c(a)", "b(a)", "c(a)"]] * 8
+    assert not enumeration.truncated and enumeration.involves_conditional
 
 
 def test_bare_return_contributes_nothing():
