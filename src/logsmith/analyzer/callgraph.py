@@ -1,11 +1,12 @@
 """Cross-file call resolution over a parsed project.
 
-The call graph maps (class fqn, method name, arity) to the first method
-the class declares with that key; of two files declaring one class, the later
-file's method is kept. Call expressions whose receiver names an imported or
-same-package class resolve through that map; a bare call resolves to the
-first such method of the calling file itself. Anything else is left for the
-built-in / unknown classification done during path enumeration.
+The call graph holds one method index: (unit, method name, arity) to the
+first method that unit declares with that name and arity. A bare call
+looks up the calling file itself. A call whose receiver names the calling,
+an imported or a same-package class looks up the one file that class name
+means: of two files declaring one class, the later in input order. A method
+that only an earlier file declares is not found there. Anything else is
+left for the built-in / unknown classification done during path enumeration.
 """
 
 from __future__ import annotations
@@ -16,22 +17,19 @@ from typing import Iterable
 from .syntax import Call, Ident, MethodDecl, SourceUnit
 
 
-@dataclass(frozen=True, slots=True)
+# compared by identity: two files declaring one class have distinct targets
+@dataclass(frozen=True, slots=True, eq=False)
 class ResolvedTarget:
     unit: SourceUnit
     method: MethodDecl
 
-    @property
-    def key(self) -> tuple[str, str, int]:
-        return (self.unit.fqn, self.method.name, len(self.method.params))
-
 
 @dataclass(slots=True)
 class CallGraph:
-    methods: dict[tuple[str, str, int], ResolvedTarget] = field(default_factory=dict)
+    # the later file of each class fqn: the one file a class name means
     units_by_fqn: dict[str, SourceUnit] = field(default_factory=dict)
-    # bare-call targets by (id of the unit, name, arity); a target keeps its unit alive
-    own: dict[tuple[int, str, int], ResolvedTarget] = field(default_factory=dict)
+    # targets by (id of the unit, name, arity); a target keeps its unit alive
+    methods: dict[tuple[int, str, int], ResolvedTarget] = field(default_factory=dict)
 
     def resolve_class(self, unit: SourceUnit, name: str) -> str | None:
         """Resolve a simple class name as seen from ``unit``, or None."""
@@ -49,16 +47,16 @@ class CallGraph:
         """Resolve a call expression to a project method, or None.
 
         Bare calls look up the calling file; calls on a class-name
-        receiver look up the named class. Calls on values (parameters,
-        literals, other call results) never resolve here.
+        receiver look up the file that class name means. Calls on values
+        (parameters, literals, other call results) never resolve here.
         """
-        if call.receiver is None:
-            return self.own.get((id(unit), call.method, len(call.args)))
         if isinstance(call.receiver, Ident):
-            fqn = self.resolve_class(unit, call.receiver.name)
-            if fqn is not None:
-                return self.methods.get((fqn, call.method, len(call.args)))
-        return None
+            unit = self.units_by_fqn.get(self.resolve_class(unit, call.receiver.name))
+            if unit is None:
+                return None
+        elif call.receiver is not None:
+            return None
+        return self.methods.get((id(unit), call.method, len(call.args)))
 
 
 def build_call_graph(units: Iterable[SourceUnit]) -> CallGraph:
@@ -68,7 +66,5 @@ def build_call_graph(units: Iterable[SourceUnit]) -> CallGraph:
         graph.units_by_fqn[unit.fqn] = unit
         # reversed, so the first of two same-arity overloads is the one kept
         for method in reversed(unit.methods):
-            target = ResolvedTarget(unit, method)
-            graph.methods[target.key] = target
-            graph.own[(id(unit), method.name, len(method.params))] = target
+            graph.methods[(id(unit), method.name, len(method.params))] = ResolvedTarget(unit, method)
     return graph

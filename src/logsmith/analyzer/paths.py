@@ -78,6 +78,8 @@ class PathStep:
     call_code: str
     callee_kind: str
     callee_source: str | None = None
+    # the file a user-method step entered; not rendered
+    path: str | None = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -181,7 +183,7 @@ class _Tracer:
 
     def expr(self, expr, unit: SourceUnit, method: MethodDecl,
              stack: tuple) -> Iterator[_Alt]:
-        """Alternatives of ``expr``; ``stack`` holds the keys of the helpers entered."""
+        """Alternatives of ``expr``; ``stack`` holds the targets of the helpers entered."""
         if isinstance(expr, StrLit):
             yield ((expr.text,) if expr.text else (), ())
         elif isinstance(expr, Ident):
@@ -225,7 +227,6 @@ class _Tracer:
             yield ((WILD,), step)
             return
 
-        key = target.key
         step = ()
         if self.with_steps:
             source = self.sources.get(id(target.method))
@@ -236,10 +237,11 @@ class _Tracer:
                 call_code=expr_to_source(call),
                 callee_kind=KIND_USER,
                 callee_source=source,
+                path=target.unit.path,
             ),)
-        if key in stack:
-            chain = stack[stack.index(key):] + (key,)
-            cycle = tuple(f"{fqn}.{name}" for fqn, name, _ in chain)
+        if target in stack:
+            chain = stack[stack.index(target):] + (target,)
+            cycle = tuple(f"{t.unit.fqn}.{t.method.name}" for t in chain)
             if cycle not in self.cycles:
                 self.cycles.append(cycle)
             yield ((WILD,), ())
@@ -258,7 +260,7 @@ class _Tracer:
                 yield ((), step)
                 continue
             for segs, steps in self.expr(ret_expr, target.unit, target.method,
-                                         stack + (key,)):
+                                         stack + (target,)):
                 yield (segs, step + steps)
         if not produced:
             # callee never returns a value; its contribution is opaque

@@ -2,7 +2,7 @@
 
 A unit with no logging calls short-circuits before any gateway traffic.
 For the rest, the prompt carries the unit's source plus the source of
-every project class its call paths actually enter, alongside the rendered
+exactly the files its call paths enter, alongside the rendered
 static-analysis report. The extraction call and each verifier call are
 retried by ``invoke_gateway``'s one rule; one that runs out of attempts is
 recorded as the unit's error and leaves that unit's logs to the black-box
@@ -52,7 +52,8 @@ def extract_unit(entry: ProjectFile, project: dict[str, ProjectFile],
                  enumerations: list[PathEnumeration], gateway, *,
                  gateway_config: GatewayConfig = GatewayConfig(),
                  policy: PostProcessPolicy = PostProcessPolicy()) -> UnitExtraction:
-    """Extract one unit's templates from the enumerations of its log calls."""
+    """Extract one unit's templates from the enumerations of its log calls;
+    ``project`` maps each file's path to the file."""
     report = build_report(enumerations)
     report_text = render_report(report)
     result = UnitExtraction(unit=entry.unit, report=report, report_text=report_text)
@@ -71,12 +72,12 @@ def extract_unit(entry: ProjectFile, project: dict[str, ProjectFile],
 
 def _java_code(entry: ProjectFile, project: dict[str, ProjectFile],
                enumerations: list[PathEnumeration]) -> str:
-    """The unit's source plus every project class its paths step into."""
-    involved = {step.class_fqn for enumeration in enumerations
+    """The unit's source plus every other file its paths step into."""
+    involved = {(step.class_fqn, step.path) for enumeration in enumerations
                 for path in enumeration.paths for step in path.steps
                 if step.callee_kind == KIND_USER}
-    involved.discard(entry.unit.fqn)
-    parts = [entry.text] + [project[fqn].text for fqn in sorted(involved) if fqn in project]
+    involved.discard((entry.unit.fqn, entry.unit.path))
+    parts = [entry.text] + [project[path].text for _, path in sorted(involved)]
     # each file ends with a newline, so a closing line comment ends in its own file
     return "".join(text if text.endswith("\n") else text + "\n" for text in parts)
 
@@ -93,7 +94,7 @@ def extract_project(files: list[ProjectFile], gateway=None, *,
     reached, so what is held beyond the parsed project is one unit.
     """
     analyses = analyze_project([f.unit for f in files], budget, builtin_methods)
-    project = {f.unit.fqn: f for f in files}
+    project = {f.unit.path: f for f in files}
     if gateway is None:
         gateway = make_gateway(gateway_config, budget, builtin_methods)
     for entry, enumerations in zip(files, analyses):

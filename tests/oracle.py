@@ -77,26 +77,31 @@ def _first_method(unit, name: str, arity: int):
 
 class Interpreter:
     def __init__(self, units, max_call_depth: int = 8):
+        # of two files declaring one class, the later is the one its name means
         self.units = {unit.fqn: unit for unit in units}
-        self.by_simple_name = {unit.class_name: unit for unit in units}
         self.max_call_depth = max_call_depth
 
+    def _class_unit(self, unit, name: str):
+        """The project file a class name means in ``unit``: the calling class,
+        else an import of that simple name, else the same package; None when
+        that class is not in the project."""
+        if name == unit.class_name:
+            fqn = unit.fqn
+        else:
+            fqn = next((imp for imp in unit.imports if imp.split(".")[-1] == name),
+                       f"{unit.package}.{name}")
+        return self.units.get(fqn)
+
     def _resolve(self, unit, call):
-        """Own resolution logic: bare calls hit the declaring class, class-name
-        receivers hit imported or same-package project classes."""
+        """Own resolution logic: bare calls hit the calling file, class-name
+        receivers the file that class name means."""
         if call.receiver is None:
             target = _first_method(unit, call.method, len(call.args))
             return (unit, target) if target is not None else None
         if not isinstance(call.receiver, Ident):
             return None
-        name = call.receiver.name
-        candidate = self.by_simple_name.get(name)
+        candidate = self._class_unit(unit, call.receiver.name)
         if candidate is None:
-            return None
-        reachable = (candidate.fqn == unit.fqn
-                     or candidate.package == unit.package
-                     or candidate.fqn in unit.imports)
-        if not reachable:
             return None
         target = _first_method(candidate, call.method, len(call.args))
         return (candidate, target) if target is not None else None
@@ -113,7 +118,7 @@ class Interpreter:
             if resolved is None:
                 return run.marker()
             target_unit, target = resolved
-            key = (target_unit.fqn, target.name, len(target.params))
+            key = (id(target_unit), id(target))
             if key in stack or len(stack) >= self.max_call_depth:
                 return run.marker()
             outcome = self._eval_body(target.body, target_unit, run, stack + (key,))

@@ -10,11 +10,16 @@ def _first_return_call(unit):
 
 
 def test_example_project_graph(example_units, example_graph):
-    keys = set(example_graph.methods)
-    assert ("com.example.Foo", "logSomething", 1) in keys
-    assert ("com.example.Bar", "getUserName", 1) in keys
-    assert ("com.example.Bar", "getDisplayName", 1) in keys
     assert set(example_graph.units_by_fqn) == {"com.example.Foo", "com.example.Bar"}
+    foo = example_graph.units_by_fqn["com.example.Foo"]
+    for fqn, name in [("com.example.Foo", "logSomething"),
+                      ("com.example.Bar", "getUserName"),
+                      ("com.example.Bar", "getDisplayName")]:
+        call = Call(receiver=Ident(fqn.rsplit(".", 1)[-1]), method=name,
+                    args=(StrLit("0"),), line=8)
+        target = example_graph.resolve_call(foo, call)
+        assert target is not None
+        assert (target.unit.fqn, target.method.name, len(target.method.params)) == (fqn, name, 1)
 
 
 def test_resolve_via_import(example_units, example_graph):
@@ -25,7 +30,7 @@ def test_resolve_via_import(example_units, example_graph):
     assert target is not None
     assert target.unit.fqn == "com.example.Bar"
     assert target.method.name == "getUserName"
-    assert target.key == ("com.example.Bar", "getUserName", 1)
+    assert len(target.method.params) == 1
 
 
 def test_resolve_same_package_without_import():

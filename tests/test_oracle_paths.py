@@ -22,6 +22,7 @@ from logsmith.analyzer import (
     find_log_calls,
     parse_source,
 )
+from logsmith.whitebox.extract import ProjectFile, extract_project
 
 from generator import generate_project
 from oracle import Interpreter, check_agreement, matches
@@ -107,6 +108,68 @@ def test_each_step_shows_the_source_of_its_own_file():
     assert path.yielded.render() == "one|two"
     assert ['return "one";' in path.steps[1].callee_source,
             'return "two";' in path.steps[2].callee_source] == [True, True]
+
+
+def _report_extract_and_oracle(sources: list[tuple[str, str]]) -> list[str]:
+    """The templates of every log call, in file order, after checking that
+    ``report``'s paths, ``extract``'s accepted templates and the oracle agree
+    and that no path closes a cycle."""
+    _check_sources(sources)
+    units = [parse_source(text, path) for path, text in sources]
+    graph = build_call_graph(units)
+    enumerations = [enumerate_paths(site, graph, ROOMY_BUDGET)
+                    for unit in units for site in find_log_calls(unit)]
+    assert [e.cycles for e in enumerations] == [()] * len(enumerations)
+    reported = [path.yielded.render() for e in enumerations for path in e.paths]
+    files = [ProjectFile(unit, text) for unit, (_, text) in zip(units, sources)]
+    extracted = [template.body.render()
+                 for result in extract_project(files, budget=ROOMY_BUDGET)
+                 for template in result.accepted]
+    assert extracted == reported
+    return reported
+
+
+def _a_class(*methods: str) -> str:
+    return "package p;\nclass A {\n" + "".join(f"  {m}\n" for m in methods) + "}\n"
+
+
+@pytest.mark.parametrize("logged, template", [
+    ('"v=" + A.g(x) + "/" + A.f(x)', "v=<.*>/two"),
+    ("A.g(x) + A.f(x)", "<.*>two"),
+])
+def test_a_class_name_means_only_the_later_file(logged, template):
+    # b/A.java declares no g, so A.g(x) resolves nowhere, not in a/A.java
+    sources = [("a/A.java", _a_class('static String f(String a) { return "one"; }',
+                                     'static String g(String a) { return "gee"; }')),
+               ("b/A.java", _a_class('static String f(String a) { return "two"; }')),
+               ("c/C.java", f"package p;\nclass C {{\n"
+                            f"  void run(String x) {{ log.info({logged}); }}\n}}\n")]
+    assert _report_extract_and_oracle(sources) == [template]
+
+
+def test_a_call_into_the_other_file_of_a_class_is_no_cycle():
+    # a/A.java's f calls the later file's f, which shares its class, name and arity
+    sources = [("a/A.java", _a_class('String f(String a) { return A.f(a); }',
+                                     'void run(String x) { log.info("v=" + f(x)); }')),
+               ("b/A.java", _one_class("two"))]
+    assert _report_extract_and_oracle(sources) == ["v=two", "v=two"]
+
+
+def test_the_prompt_carries_each_file_a_path_enters():
+    caller = _one_class("one").replace('log.info("v=" + f(x))',
+                                       'log.info(f(x) + "|" + A.f(x))')
+    sources = [("a/A.java", caller), ("b/A.java", _one_class("two"))]
+    assert _report_extract_and_oracle(sources) == ["one|two", "v=two"]
+
+
+def test_a_class_name_resolves_in_the_calling_package():
+    # q/Aux.java comes later but is neither imported nor in Main's package
+    aux = 'package {}; class Aux {{ static String f(String a) {{ return "{}"; }} }}\n'
+    sources = [("p/Aux.java", aux.format("p", "p")),
+               ("p/Main.java", 'package p;\nclass Main {\n'
+                               '  void run(String x) { log.info("v=" + Aux.f(x)); }\n}\n'),
+               ("q/Aux.java", aux.format("q", "q"))]
+    assert _report_extract_and_oracle(sources) == ["v=p"]
 
 
 def test_oracle_on_example_site(example_units, example_graph, example_sites):

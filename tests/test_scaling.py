@@ -6,8 +6,11 @@ runs. A linear stage grows about 4x, so the bound of 6x needs no figure for
 the host's speed, while a quadratic one grows about 16x. Each size takes the
 least of a few runs, which keeps a stray pause from reading as growth.
 
-The rows cover the source-file input slot: ``report`` parses every file,
-traces each log call's paths and renders the textual and structured reports.
+The source-file rows run ``report``, which parses every file, traces each
+log call's paths and renders the textual and structured reports. The
+gateway-reply row runs ``parse_response`` on one reply, and the log-stream
+row runs ``parse`` with an empty repository, so every line goes to the
+black-box tree.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import time
 import pytest
 
 from logsmith.cli import EXIT_OK, EXIT_PARTIAL, main
+from logsmith.whitebox.responses import MalformedResponse, parse_response
 
 GROWTH_BOUND = 6.0
 RUNS = 5
@@ -30,52 +34,106 @@ def _chain(n: int) -> str:
     return " + ".join(["a", '"x"'] * (n // 2))
 
 
-# shape: (the text of X.java at size n, size n, the exit code)
+# shape: (the text of X.java at size n, size n, the exit code, whether a
+# log call is truncated)
 _SOURCE_FILE_ROWS = {
     "plus chain in a return": (
         lambda n: _unit("  String g(String a) { return " + _chain(n) + "; }\n"
                         '  void f(String a) { log.info("v=" + g(a)); }'),
-        1_000, EXIT_OK),
+        1_000, EXIT_OK, False),
     "plus chain in a log argument": (
         lambda n: _unit("  void f(String a) { log.info(" + _chain(n) + "); }"),
-        1_000, EXIT_OK),
+        1_000, EXIT_OK, False),
     "unterminated block comment": (
-        lambda n: _unit("  /* " + "word " * n), 50_000, EXIT_PARTIAL),
+        lambda n: _unit("  /* " + "word " * n), 50_000, EXIT_PARTIAL, False),
     "unterminated string literal": (
-        lambda n: _unit('  String g() { return "' + "x" * n), 200_000, EXIT_PARTIAL),
+        lambda n: _unit('  String g() { return "' + "x" * n), 200_000, EXIT_PARTIAL, False),
     "one-line logging methods": (
         lambda n: _unit("\n".join(f'  void m{i}(String a) {{ log.info("m{i} " + a); }}'
                                   for i in range(n))),
-        250, EXIT_OK),
+        250, EXIT_OK, False),
     "bare calls in one class": (
         lambda n: _unit("\n".join(f'  void m{i}(String a) {{ log.info("m{i} " + h(a)); }}'
                                   for i in range(n))
                         + "\n  String h(String a) { return a; }"),
-        250, EXIT_OK),
+        250, EXIT_OK, False),
+    # each helper returns through the next by its class name, and every eighth
+    # logs, so each class-name call is traced about once, to the call depth bound
+    "class-name call chain": (
+        lambda n: _unit("\n".join(
+            f"  static String g{i}(String a) {{"
+            + (f' log.info("g{i} " + X.g{i + 1}(a));' if i % 8 == 0 else "")
+            + f' return X.g{i + 1}(a) + "x"; }}' for i in range(n))
+            + f"\n  static String g{n}(String a) {{ return a; }}"),
+        400, EXIT_OK, True),
 }
 
 
-def _cpu(tmp_path, capsys, text: str, code: int) -> float:
+def _least_cpu(run) -> float:
+    """The least CPU time of ``RUNS`` calls of ``run``."""
+    best = float("inf")
+    for _ in range(RUNS):
+        start = time.process_time()
+        run()
+        best = min(best, time.process_time() - start)
+    return best
+
+
+def _grows_linearly(shape: str, small: float, large: float) -> None:
+    assert large <= GROWTH_BOUND * small, f"{shape}: {small:.4f}s -> {large:.4f}s"
+
+
+def _report_cpu(tmp_path, capsys, text: str, code: int, truncated: bool) -> float:
     project = tmp_path / "project"
     project.mkdir(exist_ok=True)
     (project / "X.java").write_text(text, encoding="utf-8")
     argv = ["report", str(project), "--out", str(tmp_path / "report.txt"),
             "--json", str(tmp_path / "report.json")]
-    best = float("inf")
-    for _ in range(RUNS):
-        start = time.process_time()
-        assert main(argv) == code
-        best = min(best, time.process_time() - start)
+    codes = []
+    best = _least_cpu(lambda: codes.append(main(argv)))
+    assert set(codes) == {code}
     err = capsys.readouterr().err
     if code == EXIT_OK:
         assert err == ""
-        assert '"truncated": true' not in (tmp_path / "report.json").read_text(encoding="utf-8")
+        report = (tmp_path / "report.json").read_text(encoding="utf-8")
+        assert ('"truncated": true' in report) == truncated
     return best
 
 
 @pytest.mark.parametrize("shape", sorted(_SOURCE_FILE_ROWS))
 def test_source_file_cost_grows_linearly(tmp_path, capsys, shape):
-    build, n, code = _SOURCE_FILE_ROWS[shape]
-    small = _cpu(tmp_path, capsys, build(n), code)
-    large = _cpu(tmp_path, capsys, build(4 * n), code)
-    assert large <= GROWTH_BOUND * small, f"{shape}: {small:.4f}s -> {large:.4f}s"
+    build, n, code, truncated = _SOURCE_FILE_ROWS[shape]
+    small = _report_cpu(tmp_path, capsys, build(n), code, truncated)
+    large = _report_cpu(tmp_path, capsys, build(4 * n), code, truncated)
+    _grows_linearly(shape, small, large)
+
+
+def _unparsed_reply(reply: str) -> None:
+    with pytest.raises(MalformedResponse):
+        parse_response(reply)
+
+
+def test_gateway_reply_cost_grows_linearly():
+    # a reply of many "[" of which none opens a record array
+    small, large = (_least_cpu(lambda: _unparsed_reply(reply))
+                    for reply in ("[1," * 100_000, "[1," * 400_000))
+    _grows_linearly("unclosed array of numbers", small, large)
+
+
+def _parse_cpu(tmp_path, n: int) -> float:
+    # glued key=value pairs make every line new, so each one starts a cluster
+    repo, log = tmp_path / "repo.jsonl", tmp_path / "stream.log"
+    repo.write_text("", encoding="utf-8")
+    log.write_text("".join(f"gauge pulse load={i} q={i * 7} lag={i % 13}ms\n"
+                           for i in range(n)), encoding="utf-8")
+    argv = ["parse", str(repo), str(log), "--out", str(tmp_path / "parsed.jsonl")]
+    codes = []
+    best = _least_cpu(lambda: codes.append(main(argv)))
+    assert set(codes) == {EXIT_OK}
+    return best
+
+
+def test_log_stream_cost_grows_linearly(tmp_path, capsys):
+    small, large = _parse_cpu(tmp_path, 2_500), _parse_cpu(tmp_path, 10_000)
+    assert "routed" in capsys.readouterr().out
+    _grows_linearly("glued metrics lines", small, large)
