@@ -45,44 +45,34 @@ def is_logger_call(expr) -> bool:
     )
 
 
-def _walk_exprs(stmts):
-    for stmt in stmts:
-        if isinstance(stmt, ExprStmt):
-            yield stmt.expr
-        elif isinstance(stmt, Return):
-            if stmt.value is not None:
-                yield stmt.value
-        elif isinstance(stmt, If):
-            yield stmt.cond
-            yield from _walk_exprs(stmt.then_body)
-            yield from _walk_exprs(stmt.else_body)
-
-
-def _sub_exprs(expr):
-    yield expr
-    if isinstance(expr, Concat):
-        for part in expr.parts:
-            yield from _sub_exprs(part)
-    elif isinstance(expr, Call):
-        if expr.receiver is not None:
-            yield from _sub_exprs(expr.receiver)
-        for arg in expr.args:
-            yield from _sub_exprs(arg)
-
-
 def find_log_calls(unit: SourceUnit) -> list[LogCallSite]:
-    """Return every logger invocation of a unit, ordered by line."""
+    """Return every logger invocation of a unit, ordered by line; calls on one
+    line keep the order of a pre-order walk, receiver before arguments."""
     sites = []
     for method in unit.methods:
-        for expr in _walk_exprs(method.body):
-            for sub in _sub_exprs(expr):
-                if is_logger_call(sub):
-                    sites.append(LogCallSite(
-                        unit=unit,
-                        method=method,
-                        line=sub.line,
-                        level=sub.method.lower(),
-                        call=sub,
-                    ))
+        # one walk over statements and expressions, with an explicit stack, so
+        # a receiver chain of any length costs no recursion; children are
+        # pushed last first, so they are visited in source order, and a
+        # missing receiver or return value is pushed as None and passed over
+        stack = list(reversed(method.body))
+        while stack:
+            node = stack.pop()
+            kind = type(node)
+            if kind is Call:
+                if is_logger_call(node):
+                    sites.append(LogCallSite(unit=unit, method=method, line=node.line,
+                                             level=node.method.lower(), call=node))
+                stack.extend(reversed(node.args))
+                stack.append(node.receiver)
+            elif kind is Concat:
+                stack.extend(reversed(node.parts))
+            elif kind is ExprStmt:
+                stack.append(node.expr)
+            elif kind is Return:
+                stack.append(node.value)
+            elif kind is If:
+                stack.extend(reversed(node.else_body))
+                stack.extend(reversed(node.then_body))
+                stack.append(node.cond)
     sites.sort(key=lambda site: site.line)
     return sites

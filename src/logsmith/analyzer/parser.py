@@ -5,7 +5,8 @@ methods with typed parameters, if/else, return, expression statements,
 string literals, identifiers, ``+`` concatenation and method calls.
 Line and block comments are skipped. Anything outside the subset, and
 nesting deeper than ``MAX_NESTING``, raises :class:`SourceSyntaxError` with
-the offending line; a ``+`` chain of any length is one level.
+the offending line; a ``+`` chain or a ``.`` call chain of any length is one
+level.
 
 Each token is a plain ``(kind, value, line)`` tuple. ``kind`` is "ident",
 "string", "eof", or the keyword or punctuation mark itself; ``value`` is the
@@ -55,9 +56,10 @@ _KEYWORDS = {"package", "import", "class", "if", "else", "return"} | _MODIFIERS
 # "'", reads as itself.
 _STRING_ESCAPES = {escape[1]: char for char, escape in ESCAPES.items()}
 
-# Deepest nesting the parser accepts: parentheses, call arguments, if and
-# else-if levels and "." call links, one level each; a "+" chain of any
-# length is one level. Every later stage recurses over the trees, and a
+# Deepest nesting the parser accepts: parentheses, call arguments, and if
+# and else-if levels, one level each; a "+" chain or a "." call chain of any
+# length is one level, and the stages that walk a receiver chain loop over
+# its links. Every later stage recurses over the rest of the tree, and a
 # chain of helpers each nested this deep still fits Python's default
 # recursion limit when paths are traced through all of them.
 MAX_NESTING = 64
@@ -169,16 +171,10 @@ class _Parser:
         self.pos += 1
         return token
 
-    def nest(self):
-        """Enter one more nesting level; the caller restores ``depth`` on leaving."""
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            raise self.error("source nested too deep")
-
     # --- grammar ---
     # The methods called per statement and per expression test token kinds
-    # and nesting inline, not through at, expect and nest, which saves a
-    # method call per token on the parser's hottest paths.
+    # inline, not through at and expect, which saves a method call per token
+    # on the parser's hottest paths.
 
     def parse_unit(self) -> SourceUnit:
         self.expect("package")
@@ -285,7 +281,9 @@ class _Parser:
 
     def parse_if(self) -> If:
         outer = self.depth
-        self.nest()
+        depth = self.depth = outer + 1
+        if depth > MAX_NESTING:
+            raise self.error("source nested too deep")
         self.expect("if")
         self.expect("(")
         cond = self.parse_expr()
@@ -316,15 +314,13 @@ class _Parser:
         tokens = self.tokens
         while tokens[self.pos][0] == "+":
             self.pos += 1
-            self.depth = depth
             parts.append(self.parse_postfix())
         self.depth = outer
         return parts[0] if len(parts) == 1 else Concat(tuple(parts))
 
     def parse_postfix(self):
         """A literal, a name, a bare call or a parenthesized expression, then
-        its ``.`` call links, one level each; only parse_expr calls this, and
-        it restores ``depth``."""
+        its ``.`` call links, which nest only through their arguments."""
         tokens = self.tokens
         kind, value, line = tokens[self.pos]
         if kind == "string":
@@ -347,7 +343,6 @@ class _Parser:
             raise self.error(f"expected expression, found {value!r}")
         while tokens[self.pos][0] == ".":
             self.pos += 1
-            self.nest()
             _, name, line = self.expect("ident", "method name")
             self.expect("(")
             expr = Call(expr, name, self.parse_args(), line=line)

@@ -78,7 +78,8 @@ class PathStep:
     call_code: str
     callee_kind: str
     callee_source: str | None = None
-    # the file a user-method step entered; not rendered
+    # the file a user-method step entered, or the file a class-name receiver
+    # means when the call does not resolve there; not rendered
     path: str | None = None
 
 
@@ -217,13 +218,19 @@ class _Tracer:
             self.truncated = True
             yield ((WILD,), ())
             return
-        target = self.graph.resolve_call(unit, call)
+        graph = self.graph
+        target = graph.resolve_call(unit, call)
         if target is None:
             step = ()
             if self.with_steps:
                 kind = KIND_BUILTIN if call.method in self.builtins else KIND_UNKNOWN
-                step = (PathStep(_step_class(unit, method, call, self.graph),
-                                 expr_to_source(call), kind),)
+                # a class-name receiver that means a project file records that
+                # file, so the prompt shows that the method is not declared there
+                named = (graph.units_by_fqn.get(graph.resolve_class(unit, call.receiver.name))
+                         if isinstance(call.receiver, Ident) else None)
+                step = (PathStep(_step_class(unit, method, call, graph),
+                                 expr_to_source(call), kind,
+                                 path=named.path if named else None),)
             yield ((WILD,), step)
             return
 

@@ -116,10 +116,14 @@ def expr_to_source(expr) -> str:
     if isinstance(expr, Concat):
         return " + ".join(map(expr_to_source, expr.parts))
     if isinstance(expr, Call):
-        args = ", ".join(expr_to_source(a) for a in expr.args)
-        if expr.receiver is None:
-            return f"{expr.method}({args})"
-        return f"{expr_to_source(expr.receiver)}.{expr.method}({args})"
+        # a receiver chain of any length in one loop, from its last link back
+        links = []
+        while isinstance(expr, Call):
+            links.append(f"{expr.method}({', '.join(map(expr_to_source, expr.args))})")
+            expr = expr.receiver
+        if expr is not None:
+            links.append(expr_to_source(expr))
+        return ".".join(reversed(links))
     raise TypeError(f"not an expression: {expr!r}")
 
 

@@ -102,6 +102,8 @@ def read_config(path: str | Path) -> dict:
         return yaml.safe_load(text) or {}
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid YAML: {exc}") from exc
+    except RecursionError as exc:  # the loader recurses once per nesting level
+        raise ConfigError("invalid YAML: nested too deeply") from exc
 
 
 def build_config(data) -> Config:

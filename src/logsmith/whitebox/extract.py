@@ -2,11 +2,11 @@
 
 A unit with no logging calls short-circuits before any gateway traffic.
 For the rest, the prompt carries the unit's source plus the source of
-exactly the files its call paths enter, alongside the rendered
-static-analysis report. The extraction call and each verifier call are
-retried by ``invoke_gateway``'s one rule; one that runs out of attempts is
-recorded as the unit's error and leaves that unit's logs to the black-box
-path, and never aborts the project run.
+exactly the files its call paths enter or name by class, alongside the
+rendered static-analysis report. The extraction call and each verifier
+call are retried by ``invoke_gateway``'s one rule; one that runs out of
+attempts is recorded as the unit's error and leaves that unit's logs to
+the black-box path, and never aborts the project run.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from typing import Iterator
 
 from ..analyzer import (
     DEFAULT_BUILTIN_METHODS,
-    KIND_USER,
     PathBudget,
     PathEnumeration,
     SourceUnit,
@@ -72,10 +71,9 @@ def extract_unit(entry: ProjectFile, project: dict[str, ProjectFile],
 
 def _java_code(entry: ProjectFile, project: dict[str, ProjectFile],
                enumerations: list[PathEnumeration]) -> str:
-    """The unit's source plus every other file its paths step into."""
+    """The unit's source plus every other file its paths step into or name."""
     involved = {(step.class_fqn, step.path) for enumeration in enumerations
-                for path in enumeration.paths for step in path.steps
-                if step.callee_kind == KIND_USER}
+                for path in enumeration.paths for step in path.steps if step.path}
     involved.discard((entry.unit.fqn, entry.unit.path))
     parts = [entry.text] + [project[path].text for _, path in sorted(involved)]
     # each file ends with a newline, so a closing line comment ends in its own file

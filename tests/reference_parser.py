@@ -1,9 +1,10 @@
 """The analyzer's parser before its one-scan lexer and flatter parser.
 
 Kept unchanged, apart from this docstring, importing
-:class:`SourceSyntaxError` rather than defining it, and ``parse_expr``
+:class:`SourceSyntaxError` rather than defining it, ``parse_expr``
 building a ``+`` chain as one n-ary :class:`Concat` at one nesting level,
-as the reference that ``test_parser.py`` compares ``parse_source`` and
+and ``parse_postfix`` counting no nesting level per ``.`` call link, as the
+reference that ``test_parser.py`` compares ``parse_source`` and
 ``parse_sources`` against: the same units, or the same error text, for
 every input. Its lexer walks
 ``finditer`` matches and stops at the first text that starts no token; its
@@ -39,10 +40,11 @@ _MODIFIERS = {"public", "private", "protected", "static", "final"}
 _STRING_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "b": "\b", "f": "\f",
                    '"': '"', "'": "'", "\\": "\\"}
 
-# Deepest nesting the parser accepts: parentheses, call arguments, if and
-# else-if levels, and one level per "." call link, since a call chain builds
-# a left-nested tree. A "+" chain of any length is one level: it is one
-# Concat node. Every later stage recurses over these trees, and a chain of
+# Deepest nesting the parser accepts: parentheses, call arguments, and if
+# and else-if levels. A "+" chain of any length is one level: it is one
+# Concat node. A "." call chain of any length is one level too: it builds a
+# left-nested tree, but the stages that walk receivers loop over its links.
+# Every later stage recurses over the rest of these trees, and a chain of
 # helpers each nested this deep still fits Python's default recursion limit
 # when paths are traced through all of them.
 MAX_NESTING = 64
@@ -274,16 +276,13 @@ class _Parser:
         return parts[0] if len(parts) == 1 else Concat(tuple(parts))
 
     def parse_postfix(self):
-        outer = self.depth
         expr = self.parse_primary()
         tokens = self.tokens
         while tokens[self.pos][0] == ".":
             self.pos += 1
-            self.nest()
             _, name, line = self.expect("ident", "method name")
             self.expect("(")
             expr = Call(expr, name, self.parse_args(), line=line)
-        self.depth = outer
         return expr
 
     def parse_primary(self):

@@ -4,9 +4,11 @@ The mock gateway answers an extraction prompt with one record per path of
 the unit's log calls, re-derived from the files in the prompt. So for every
 unit, its records must equal the paths ``report`` yields: a prompt that
 lacks a file the paths entered, or carries a file they did not, shows up as
-a difference. Projects come from ``tests/generator.py``, as generated and
+a difference. Projects come from ``tests/generator.py``: as generated;
 with a later copy of one helper class that renames a helper and changes a
-literal, so a class name there means the later file.
+literal, so a class name there means the later file; with a cycle through
+that class's helpers; and with the later copy and a log call in the earlier
+file that calls the renamed helper by its class name.
 
 Outputs must also be byte-identical whatever ``PYTHONHASHSEED`` is: every
 command is run in a subprocess under two seeds and each file it writes is
@@ -49,9 +51,47 @@ def _with_later_copy(sources: list[tuple[str, str]]) -> list[tuple[str, str]] | 
     return sources + [("zz/Aux.java", copy)]
 
 
+def _with_helper_cycle(sources: list[tuple[str, str]]) -> list[tuple[str, str]] | None:
+    """``sources`` where each helper of ``Aux.java`` first returns through the
+    next one, and the last through the first, so a path into Aux closes a
+    cycle; None when the project has no helper in ``Aux``."""
+    text = dict(sources).get("Aux.java", "")
+    helpers = re.findall(r"String (h\d+)\(([^)]*)\)", text)
+    if not helpers:
+        return None
+    names = [name for name, _ in helpers]
+    calls = {name: f"{name}({', '.join('a' for _ in params.split(','))})"
+             for name, params in helpers}
+    ring = dict(zip(names, names[1:] + names[:1]))
+    # every helper has a parameter a, and returns after its declaration
+    text = re.sub(r"String (h\d+)\((?s:.*?)return ",
+                  lambda match: f"{match[0]}{calls[ring[match[1]]]} + ", text)
+    return [(path, text if path == "Aux.java" else source) for path, source in sources]
+
+
+def _calling_the_renamed_helper(sources: list[tuple[str, str]]) -> list[tuple[str, str]] | None:
+    """``_with_later_copy(sources)`` where ``Aux.java`` also logs its first
+    helper called by the class name: the helper the later copy renames, so
+    the call means ``zz/Aux.java`` and resolves nowhere; None when the
+    project has no helper in ``Aux``."""
+    copied = _with_later_copy(sources)
+    if copied is None:
+        return None
+    text = dict(sources)["Aux.java"]
+    name, params = re.search(r"String (h\d+)\(([^)]*)\)", text).groups()
+    args = ", ".join(param.split()[-1] for param in params.split(","))
+    logs = f'  public void logs({params}) {{ log.info("aux " + Aux.{name}({args})); }}\n'
+    text = text[:text.rindex("}")] + logs + "}\n"
+    return [(path, text if path == "Aux.java" else source) for path, source in copied]
+
+
 _PROJECTS = [(f"{seed}", generate_project(seed)) for seed in range(60)] + [
-    (f"{seed} with a later copy", variant) for seed in range(60)
-    if (variant := _with_later_copy(generate_project(seed))) is not None]
+    (f"{seed} {variant}", sources)
+    for variant, vary in (("with a later copy", _with_later_copy),
+                          ("with a helper cycle", _with_helper_cycle),
+                          ("calling a renamed helper by class name",
+                           _calling_the_renamed_helper))
+    for seed in range(60) if (sources := vary(generate_project(seed))) is not None]
 
 
 class _RecordingMock(MockGateway):

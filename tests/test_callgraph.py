@@ -124,6 +124,18 @@ def test_find_log_calls_literal_and_logger_alias():
     ]
 
 
+def test_find_log_calls_keeps_the_walk_order_on_one_line():
+    # the condition's receiver, the then branch and a call in its argument,
+    # then the else branch's receiver and a call in its argument
+    unit = parse_source(
+        "package p;\nclass X {\n  void f(String a) {\n"
+        '    if (log.debug("c").equals(a)) log.info("t" + log.trace("x")); '
+        'else log.warn("e").f(log.error("arg"));\n'
+        '    log.fatal("next");\n  }\n}\n', "X.java")
+    assert [(s.line, s.level) for s in find_log_calls(unit)] == [
+        (4, "debug"), (4, "info"), (4, "trace"), (4, "warn"), (4, "error"), (5, "fatal")]
+
+
 def test_non_logger_calls_ignored():
     unit = parse_source(
         "package p;\nclass X {\n  void f(String a) {\n"

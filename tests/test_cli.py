@@ -313,7 +313,8 @@ _DEEPLY_NESTED = {
     "else-if chain": _ELSE_IF_CHAIN,
     # each operand's parentheses nest; the chain itself is one level
     "plus chain": "log.info(" + "a + (" * 2_000 + "a" + ")" * 2_000 + ");",
-    "call chain": "log.info(a" + ".trim()" * 3_000 + ");",
+    # each link's argument list nests; the chain itself is one level
+    "call chain": "log.info(" + "a.f(" * 3_000 + "a" + ")" * 3_000 + ");",
 }
 
 
@@ -336,12 +337,12 @@ def test_deeply_nested_file_is_skipped(tmp_path, capsys, command, shape):
             encoding="utf-8")
 
 
-@pytest.mark.parametrize("statement", ["return {};", "log.info({});"])
-@pytest.mark.parametrize("command", ["extract", "report"])
-def test_a_long_plus_chain_keeps_its_file(tmp_path, capsys, command, statement):
-    # a "+" chain is one nesting level however many operands it joins
-    chain = " + ".join(['"x"', "a"] * 500)
-    log = ('  void f(String a) { log.info("v=" + g(a)); }\n'
+def _chain_keeps_its_file(tmp_path, capsys, command: str, statement: str,
+                          chain: str, template: str) -> None:
+    """Check that X.java, whose g holds ``statement`` filled with ``chain``,
+    and whose f logs "value=" plus g(a) when g returns it, parses and traces:
+    one path yields ``template``, with no truncation and no warning."""
+    log = ('  void f(String a) { log.info("value=" + g(a)); }\n'
            if statement.startswith("return") else "")
     project = tmp_path / "project"
     project.mkdir()
@@ -352,7 +353,6 @@ def test_a_long_plus_chain_keeps_its_file(tmp_path, capsys, command, statement):
     json_out = ["--json", str(tmp_path / "report.json")] if command == "report" else []
     assert main([command, str(project), "--out", str(out)] + json_out) == EXIT_OK
     assert capsys.readouterr().err.count("warning") == 0
-    template = "v=" * statement.startswith("return") + "x<.*>" * 500
     if command == "extract":
         assert [t.body.render() for t in load_repository(out)] == [template]
         record = json.loads((tmp_path / "out.reports" / "X.report.json").read_text(
@@ -362,6 +362,23 @@ def test_a_long_plus_chain_keeps_its_file(tmp_path, capsys, command, statement):
     (call,) = record["calls"]
     assert [path["yielded"] for path in call["paths"]] == [template]
     assert call["flags"]["truncated"] is False
+
+
+@pytest.mark.parametrize("statement", ["return {};", "log.info({});"])
+@pytest.mark.parametrize("command", ["extract", "report"])
+def test_a_long_plus_chain_keeps_its_file(tmp_path, capsys, command, statement):
+    # a "+" chain is one nesting level however many operands it joins
+    _chain_keeps_its_file(tmp_path, capsys, command, statement,
+                          " + ".join(['"x"', "a"] * 500),
+                          "value=" * statement.startswith("return") + "x<.*>" * 500)
+
+
+@pytest.mark.parametrize("statement", ["return {};", 'log.info("value=" + {});'])
+@pytest.mark.parametrize("command", ["extract", "report"])
+def test_a_long_call_chain_keeps_its_file(tmp_path, capsys, command, statement):
+    # a "." call chain is one nesting level however many calls it links
+    _chain_keeps_its_file(tmp_path, capsys, command, statement,
+                          "a" + '.append("x")' * 999 + ".toString()", "value=<.*>")
 
 
 @pytest.mark.parametrize("command", ["extract", "report"])
@@ -1019,6 +1036,18 @@ def test_bad_config_is_fatal(tmp_path, capsys):
                  str(tmp_path / "repo.jsonl"), "--config", str(config)])
     assert code == EXIT_FATAL
     assert "dept" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("body", [
+    "tree: " + "[" * 1_000 + "]" * 1_000 + "\n",
+    "".join(" " * level + f"k{level}:\n" for level in range(1_000)),
+], ids=["flow sequence", "block mapping"])
+def test_a_config_nested_too_deeply_is_fatal(tmp_path, capsys, body):
+    # the YAML loader recurses once per level; that is a config error, not a crash
+    config = tmp_path / "deep.yaml"
+    config.write_text(body, encoding="utf-8")
+    assert main(["report", str(EXAMPLE_PROJECT), "--config", str(config)]) == EXIT_FATAL
+    assert capsys.readouterr().err == "error: invalid YAML: nested too deeply\n"
 
 
 @pytest.mark.parametrize("command, body, key, message", [

@@ -147,6 +147,15 @@ def test_a_class_name_means_only_the_later_file(logged, template):
     assert _report_extract_and_oracle(sources) == [template]
 
 
+def test_a_file_calling_its_own_class_name_means_the_later_file():
+    # A.g(x) in p/a/A.java means p/b/A.java, which declares no g; the prompt
+    # carries p/b/A.java, so extract does not resolve it to the caller's g
+    sources = [("p/a/A.java", _a_class('static String g(String a) { return "gee"; }',
+                                       'void run(String x) { log.info("value=" + A.g(x)); }')),
+               ("p/b/A.java", _a_class('static String f(String a) { return "two"; }'))]
+    assert _report_extract_and_oracle(sources) == ["value=<.*>"]
+
+
 def test_a_call_into_the_other_file_of_a_class_is_no_cycle():
     # a/A.java's f calls the later file's f, which shares its class, name and arity
     sources = [("a/A.java", _a_class('String f(String a) { return A.f(a); }',

@@ -72,22 +72,24 @@ def test_concat_holds_the_whole_chain():
     assert ret.value == expected
 
 
-# (statement, parentheses that bring its chain to the bound)
+# (statement, parentheses that bring its chain to the bound); neither a "+"
+# chain nor a "." call chain counts its length, and their trees are compared
+# through expr_to_source, as a node's == and repr recurse once per call link
 @pytest.mark.parametrize("statement, depth", [("return {};", MAX_NESTING - 1),
-                                              ("log.info({});", MAX_NESTING - 3)])
+                                              ("log.info({});", MAX_NESTING - 2)])
 def test_a_long_chain_is_one_nesting_level(statement, depth):
-    chain = " + ".join(["a", '"x"'] * 500)
-    nested = "(" * depth + chain + ")" * depth
-    text = ("package p;\nclass X {\n  String g(String a) {\n    "
-            f"{statement.format(nested)}\n  }}\n}}\n")
-    value = parse_source(text, "X.java").methods[0].body[0]
-    value = value.value if isinstance(value, Return) else value.expr.args[0]
-    assert isinstance(value, Concat) and len(value.parts) == 1_000
-    assert expr_to_source(value) == chain
-    # one more parenthesis is one level too many
-    with pytest.raises(SourceSyntaxError) as error:
-        parse_source(text.replace(nested, f"({nested})"), "X.java")
-    assert str(error.value) == "line 4: source nested too deep"
+    for chain, node in ((" + ".join(["a", '"x"'] * 500), Concat),
+                        ("a" + ".trim()" * 1_000, Call)):
+        nested = "(" * depth + chain + ")" * depth
+        text = ("package p;\nclass X {\n  String g(String a) {\n    "
+                f"{statement.format(nested)}\n  }}\n}}\n")
+        value = parse_source(text, "X.java").methods[0].body[0]
+        value = value.value if isinstance(value, Return) else value.expr.args[0]
+        assert type(value) is node and expr_to_source(value) == chain
+        # one more parenthesis is one level too many
+        with pytest.raises(SourceSyntaxError) as error:
+            parse_source(text.replace(nested, f"({nested})"), "X.java")
+        assert str(error.value) == "line 4: source nested too deep"
 
 
 def test_string_escapes_unescaped():
@@ -159,13 +161,14 @@ def test_unterminated_string_rejected():
 
 
 # Each shape at n levels nests n + 1 deep, counting the expression or the
-# condition it sits in. A "+" chain of any length is one level, so the plus
-# operands nest only through the parentheses around each.
+# condition it sits in. A "+" chain or a "." call chain of any length is one
+# level, so the plus operands nest only through the parentheses around each,
+# and the call links only through their argument lists.
 _NESTING_SHAPES = {
     "parentheses": lambda n: "return " + "(" * n + "a" + ")" * n + ";",
     "call arguments": lambda n: "return " + "f(" * n + "a" + ")" * n + ";",
     "plus operands": lambda n: "return " + "a + (" * n + "a" + ")" * n + ";",
-    "call links": lambda n: "return a" + ".trim()" * n + ";",
+    "call links": lambda n: "return " + "a.f(" * n + "a" + ")" * n + ";",
     "if": lambda n: "if (a) " * n + "return a;",
     "else if": lambda n: "if (a) return a; else " * n + "return a;",
 }

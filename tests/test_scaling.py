@@ -10,7 +10,10 @@ The source-file rows run ``report``, which parses every file, traces each
 log call's paths and renders the textual and structured reports. The
 gateway-reply row runs ``parse_response`` on one reply, and the log-stream
 row runs ``parse`` with an empty repository, so every line goes to the
-black-box tree.
+black-box tree. The repository row runs ``parse`` of one line against a
+repository of n templates, the truth-file row ``eval`` of n templates
+against n truth lines, and the config row ``report`` of a small class with
+a config naming n built-in methods.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import time
 import pytest
 
 from logsmith.cli import EXIT_OK, EXIT_PARTIAL, main
+from logsmith.templates import Template, TemplateBody, save_repository
 from logsmith.whitebox.responses import MalformedResponse, parse_response
 
 GROWTH_BOUND = 6.0
@@ -43,6 +47,13 @@ _SOURCE_FILE_ROWS = {
         1_000, EXIT_OK, False),
     "plus chain in a log argument": (
         lambda n: _unit("  void f(String a) { log.info(" + _chain(n) + "); }"),
+        1_000, EXIT_OK, False),
+    "call chain in a return": (
+        lambda n: _unit("  String g(String a) { return a" + ".trim()" * n + "; }\n"
+                        '  void f(String a) { log.info("v=" + g(a)); }'),
+        1_000, EXIT_OK, False),
+    "call chain in a log argument": (
+        lambda n: _unit('  void f(String a) { log.info("v=" + a' + ".trim()" * n + "); }"),
         1_000, EXIT_OK, False),
     "unterminated block comment": (
         lambda n: _unit("  /* " + "word " * n), 50_000, EXIT_PARTIAL, False),
@@ -83,15 +94,21 @@ def _grows_linearly(shape: str, small: float, large: float) -> None:
     assert large <= GROWTH_BOUND * small, f"{shape}: {small:.4f}s -> {large:.4f}s"
 
 
-def _report_cpu(tmp_path, capsys, text: str, code: int, truncated: bool) -> float:
-    project = tmp_path / "project"
-    project.mkdir(exist_ok=True)
-    (project / "X.java").write_text(text, encoding="utf-8")
-    argv = ["report", str(project), "--out", str(tmp_path / "report.txt"),
-            "--json", str(tmp_path / "report.json")]
+def _main_cpu(argv: list[str], code: int = EXIT_OK) -> float:
+    """The least CPU time of running ``main(argv)``, which must exit ``code``."""
     codes = []
     best = _least_cpu(lambda: codes.append(main(argv)))
     assert set(codes) == {code}
+    return best
+
+
+def _report_cpu(tmp_path, capsys, text: str, code: int, truncated: bool,
+                *config: str) -> float:
+    project = tmp_path / "project"
+    project.mkdir(exist_ok=True)
+    (project / "X.java").write_text(text, encoding="utf-8")
+    best = _main_cpu(["report", str(project), "--out", str(tmp_path / "report.txt"),
+                      "--json", str(tmp_path / "report.json"), *config], code)
     err = capsys.readouterr().err
     if code == EXIT_OK:
         assert err == ""
@@ -126,14 +143,55 @@ def _parse_cpu(tmp_path, n: int) -> float:
     repo.write_text("", encoding="utf-8")
     log.write_text("".join(f"gauge pulse load={i} q={i * 7} lag={i % 13}ms\n"
                            for i in range(n)), encoding="utf-8")
-    argv = ["parse", str(repo), str(log), "--out", str(tmp_path / "parsed.jsonl")]
-    codes = []
-    best = _least_cpu(lambda: codes.append(main(argv)))
-    assert set(codes) == {EXIT_OK}
-    return best
+    return _main_cpu(["parse", str(repo), str(log), "--out", str(tmp_path / "parsed.jsonl")])
 
 
 def test_log_stream_cost_grows_linearly(tmp_path, capsys):
     small, large = _parse_cpu(tmp_path, 2_500), _parse_cpu(tmp_path, 10_000)
     assert "routed" in capsys.readouterr().out
     _grows_linearly("glued metrics lines", small, large)
+
+
+def _repository_cpu(tmp_path, n: int) -> float:
+    repo, log = tmp_path / "repo.jsonl", tmp_path / "stream.log"
+    save_repository([Template(TemplateBody.parse(f"job{i} took <.*> ms on node{i % 97}"))
+                     for i in range(n)], repo)
+    log.write_text("job7 took 12 ms on node7\n", encoding="utf-8")
+    return _main_cpu(["parse", str(repo), str(log), "--out", str(tmp_path / "parsed.jsonl")])
+
+
+def test_repository_cost_grows_linearly(tmp_path, capsys):
+    # kept small: at 2,500 to 10,000 a busy host once read 6.7x, though each
+    # stage of the profile, load and compile, grew about 4x
+    small, large = _repository_cpu(tmp_path, 1_500), _repository_cpu(tmp_path, 6_000)
+    assert "matched" in capsys.readouterr().out
+    _grows_linearly("templates in the repository", small, large)
+
+
+def _eval_cpu(tmp_path, n: int) -> float:
+    # every other parsed template is in the truth file
+    parsed, truth = tmp_path / "parsed.txt", tmp_path / "truth.txt"
+    parsed.write_text("".join(f"job{i} took <.*> ms\n" for i in range(n)), encoding="utf-8")
+    truth.write_text("".join(f"job{i} took <.*> {'ms' if i % 2 else 's'}\n"
+                             for i in range(n)), encoding="utf-8")
+    return _main_cpu(["eval", str(parsed), str(truth), "--out", str(tmp_path / "eval.json")])
+
+
+def test_truth_file_cost_grows_linearly(tmp_path, capsys):
+    small, large = _eval_cpu(tmp_path, 2_500), _eval_cpu(tmp_path, 10_000)
+    assert "f1 0.500" in capsys.readouterr().out
+    _grows_linearly("templates in the truth file", small, large)
+
+
+def test_config_cost_grows_linearly(tmp_path, capsys):
+    text = _unit('  void f(String a) { log.info("v=" + a.trim()); }')
+    config = tmp_path / "config.yaml"
+
+    def report_cpu(n: int) -> float:
+        config.write_text("analyzer:\n  builtin_methods: ["
+                          + ", ".join(f"m{i}" for i in range(n)) + ", trim]\n",
+                          encoding="utf-8")
+        return _report_cpu(tmp_path, capsys, text, EXIT_OK, False, "--config", str(config))
+
+    _grows_linearly("built-in method names in the config", report_cpu(1_000),
+                    report_cpu(4_000))
