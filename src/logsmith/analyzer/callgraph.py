@@ -30,14 +30,16 @@ class CallGraph:
     units_by_fqn: dict[str, SourceUnit] = field(default_factory=dict)
     # targets by (id of the unit, name, arity); a target keeps its unit alive
     methods: dict[tuple[int, str, int], ResolvedTarget] = field(default_factory=dict)
+    # each unit's first import of a simple name, by (id of the unit, name)
+    imports: dict[tuple[int, str], str] = field(default_factory=dict)
 
     def resolve_class(self, unit: SourceUnit, name: str) -> str | None:
         """Resolve a simple class name as seen from ``unit``, or None."""
         if name == unit.class_name:
             return unit.fqn
-        for imp in unit.imports:
-            if imp.rsplit(".", 1)[-1] == name:
-                return imp
+        imported = self.imports.get((id(unit), name))
+        if imported is not None:
+            return imported
         same_pkg = f"{unit.package}.{name}"
         if same_pkg in self.units_by_fqn:
             return same_pkg
@@ -64,6 +66,8 @@ def build_call_graph(units: Iterable[SourceUnit]) -> CallGraph:
     graph = CallGraph()
     for unit in units:
         graph.units_by_fqn[unit.fqn] = unit
+        for imp in reversed(unit.imports):
+            graph.imports[(id(unit), imp.rsplit(".", 1)[-1])] = imp
         # reversed, so the first of two same-arity overloads is the one kept
         for method in reversed(unit.methods):
             graph.methods[(id(unit), method.name, len(method.params))] = ResolvedTarget(unit, method)

@@ -114,7 +114,7 @@ def expr_to_source(expr) -> str:
     if isinstance(expr, Ident):
         return expr.name
     if isinstance(expr, Concat):
-        return " + ".join(map(expr_to_source, expr.parts))
+        return " + ".join(map(_operand_source, expr.parts))
     if isinstance(expr, Call):
         # a receiver chain of any length in one loop, from its last link back
         links = []
@@ -122,9 +122,14 @@ def expr_to_source(expr) -> str:
             links.append(f"{expr.method}({', '.join(map(expr_to_source, expr.args))})")
             expr = expr.receiver
         if expr is not None:
-            links.append(expr_to_source(expr))
+            links.append(_operand_source(expr))
         return ".".join(reversed(links))
     raise TypeError(f"not an expression: {expr!r}")
+
+
+def _operand_source(expr) -> str:
+    """A ``+`` operand or a call receiver: a ``+`` chain keeps its parentheses."""
+    return f"({expr_to_source(expr)})" if isinstance(expr, Concat) else expr_to_source(expr)
 
 
 def _stmt_lines(stmt, indent: int) -> list[str]:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, replace
+from itertools import groupby
 from pathlib import Path
 from typing import Iterable
 
@@ -60,20 +61,14 @@ class TemplateBody:
 
     @classmethod
     def from_segments(cls, raw: Iterable[str | Wildcard]) -> "TemplateBody":
-        merged: list[str | Wildcard] = []
-        for seg in raw:
-            if seg is WILD:
-                if merged and merged[-1] is WILD:
-                    continue
-                merged.append(WILD)
-            else:
-                if seg == "":
-                    continue
-                if merged and merged[-1] is not WILD:
-                    merged[-1] = merged[-1] + seg
-                else:
-                    merged.append(seg)
-        return cls(tuple(merged))
+        segments: list[str | Wildcard] = []
+        for wild, run in groupby(raw, lambda seg: seg is WILD):
+            text = "" if wild else "".join(run)
+            if text:
+                segments.append(text)
+            elif wild and (not segments or segments[-1] is not WILD):
+                segments.append(WILD)
+        return cls(tuple(segments))
 
     @classmethod
     def parse(cls, text: str, token: str = WILDCARD_TOKEN) -> "TemplateBody":
@@ -155,22 +150,17 @@ class Template:
 def merge_templates(templates: Iterable[Template]) -> list[Template]:
     """Merge templates with equal bodies, in first-seen order.
 
-    A merged entry keeps the lowest-rank level seen and the sorted union
-    of the contributing methods.
+    A merged entry keeps its first template's fields, the lowest-rank
+    level seen and the sorted union of the contributing methods.
     """
-    merged: dict[TemplateBody, Template] = {}
+    groups: dict[TemplateBody, list[Template]] = {}
     for template in templates:
-        existing = merged.get(template.body)
-        if existing is None:
-            merged[template.body] = template
-            continue
-        level = existing.level
-        if template.level and (level is None
-                               or level_rank(template.level) < level_rank(level)):
-            level = template.level
-        methods = tuple(sorted({*existing.methods, *template.methods}))
-        merged[template.body] = replace(existing, level=level, methods=methods)
-    return list(merged.values())
+        groups.setdefault(template.body, []).append(template)
+    return [group[0] if len(group) == 1 else replace(
+                group[0],
+                level=min([t.level for t in group if t.level], key=level_rank, default=None),
+                methods=tuple(sorted({m for t in group for m in t.methods})))
+            for group in groups.values()]
 
 
 def save_repository(templates: Iterable[Template], path: str | Path) -> None:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -260,6 +262,37 @@ def test_method_to_source_layout():
         "  }\n"
         "}"
     )
+
+
+def _lineless(tree) -> str:
+    """The repr of a tree with every ``Call.line`` left out."""
+    return re.sub(r", line=\d+\)", ")", repr(tree))
+
+
+def _reparsed(method):
+    return parse_source(f"package p;\nclass X {{\n{method_to_source(method)}\n}}\n",
+                        "X.java").methods[0]
+
+
+# a "+" chain as a call receiver and as a part of another chain keeps the
+# parentheses that the tree needs, and no others
+@pytest.mark.parametrize("value, rendered", [
+    ('("x" + a).trim()', '("x" + a).trim()'),
+    ('"a" + (a + "b") + "c"', '"a" + (a + "b") + "c"'),
+    ('(a).f(("b" + a), (a.g()))', 'a.f("b" + a, a.g())'),
+])
+def test_method_to_source_parses_back_to_its_tree(value, rendered):
+    (method,) = parse_source("package p;\nclass X {\n  String g(String a) {\n"
+                             f"    return {value};\n  }}\n}}\n", "X.java").methods
+    assert expr_to_source(method.body[0].value) == rendered
+    assert _lineless(_reparsed(method)) == _lineless(method)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_generated_methods_parse_back_to_their_trees(seed):
+    for path, text in generate_project(seed):
+        for method in parse_source(text, path).methods:
+            assert _lineless(_reparsed(method)) == _lineless(method)
 
 
 def test_parse_is_deterministic():

@@ -13,7 +13,9 @@ row runs ``parse`` with an empty repository, so every line goes to the
 black-box tree. The repository row runs ``parse`` of one line against a
 repository of n templates, the truth-file row ``eval`` of n templates
 against n truth lines, and the config row ``report`` of a small class with
-a config naming n built-in methods.
+a config naming n built-in methods. The repeated-template row runs
+``extract`` on one file whose n methods log one template, and the
+template-body row ``TemplateBody.from_segments`` on n adjacent constants.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ GROWTH_BOUND = 6.0
 RUNS = 5
 
 
-def _unit(body: str) -> str:
-    return f"package p;\nclass X {{\n{body}\n}}\n"
+def _unit(body: str, imports: str = "") -> str:
+    return f"package p;\n{imports}class X {{\n{body}\n}}\n"
 
 
 def _chain(n: int) -> str:
@@ -77,6 +79,16 @@ _SOURCE_FILE_ROWS = {
             + f' return X.g{i + 1}(a) + "x"; }}' for i in range(n))
             + f"\n  static String g{n}(String a) {{ return a; }}"),
         400, EXIT_OK, True),
+    # each class name is found among the n imports, and names no project class
+    "imports and class-name calls": (
+        lambda n: _unit('  void f(String a) { log.info("v=" + '
+                        + " + ".join(f"C{i}.f(a)" for i in range(n)) + "); }",
+                        "".join(f"import q.C{i};\n" for i in range(n))),
+        250, EXIT_OK, False),
+    "parameters of one method": (
+        lambda n: _unit("  void f(" + ", ".join(f"String a{i}" for i in range(n))
+                        + ') { log.info("v=" + a0); }'),
+        1_000, EXIT_OK, False),
 }
 
 
@@ -123,6 +135,29 @@ def test_source_file_cost_grows_linearly(tmp_path, capsys, shape):
     small = _report_cpu(tmp_path, capsys, build(n), code, truncated)
     large = _report_cpu(tmp_path, capsys, build(4 * n), code, truncated)
     _grows_linearly(shape, small, large)
+
+
+def _extract_cpu(tmp_path, capsys, n: int) -> float:
+    project = tmp_path / "project"
+    project.mkdir(exist_ok=True)
+    (project / "X.java").write_text(
+        _unit("\n".join(f'  void m{i}(String a) {{ log.info("done " + a); }}'
+                         for i in range(n))), encoding="utf-8")
+    best = _main_cpu(["extract", str(project), "--out", str(tmp_path / "repo.jsonl")])
+    assert ", 1 templates -> " in capsys.readouterr().out
+    return best
+
+
+def test_repeated_template_cost_grows_linearly(tmp_path, capsys):
+    # every method logs one template, so the merge unites n method names
+    small, large = _extract_cpu(tmp_path, capsys, 500), _extract_cpu(tmp_path, capsys, 2_000)
+    _grows_linearly("logging methods that share one template", small, large)
+
+
+def test_adjacent_constants_cost_grows_linearly():
+    small, large = (_least_cpu(lambda: TemplateBody.from_segments(["0123456789"] * n))
+                    for n in (10_000, 40_000))
+    _grows_linearly("adjacent constants of a template body", small, large)
 
 
 def _unparsed_reply(reply: str) -> None:

@@ -261,3 +261,66 @@ def test_merge_templates_keeps_a_lone_template_as_it_is():
     lone = Template(body=TemplateBody.parse("x"), level="info", methods=("q", "p"))
     assert merge_templates([lone]) == [lone]
     assert merge_templates([lone])[0] is lone
+
+
+def _merge_reference(templates):
+    """The one-template-at-a-time merge loop that ``merge_templates`` replaced."""
+    merged = {}
+    for template in templates:
+        existing = merged.get(template.body)
+        if existing is None:
+            merged[template.body] = template
+            continue
+        level = existing.level
+        if template.level and (level is None
+                               or level_rank(template.level) < level_rank(level)):
+            level = template.level
+        methods = tuple(sorted({*existing.methods, *template.methods}))
+        merged[template.body] = dataclasses.replace(existing, level=level, methods=methods)
+    return list(merged.values())
+
+
+# few bodies, so that they repeat; levels as post_process leaves them; a few
+# method names, shared between templates and listed unsorted
+_TEMPLATES = st.lists(st.builds(
+    Template,
+    body=st.sampled_from(["a <.*>", "b", "<.*> c <.*>"]).map(TemplateBody.parse),
+    level=st.sampled_from([None, *LEVELS]),
+    methods=st.lists(st.sampled_from(["z.M.x", "a.M.w", "q.N.y", "b.N.v"]),
+                     max_size=3).map(tuple),
+    source=st.sampled_from(["whitebox", "blackbox"]),
+    match_count=st.none() | st.integers(0, 9)), max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TEMPLATES)
+def test_merge_templates_agrees_with_the_pairwise_reference(templates):
+    merged, expected = merge_templates(templates), _merge_reference(templates)
+    assert merged == expected
+    # a lone template is the very object passed in; a merged one is new
+    assert [any(m is t for t in templates) for m in merged] == [
+        any(e is t for t in templates) for e in expected]
+
+
+def _from_segments_reference(raw):
+    """The one-segment-at-a-time loop that ``from_segments`` replaced."""
+    merged = []
+    for seg in raw:
+        if seg is WILD:
+            if merged and merged[-1] is WILD:
+                continue
+            merged.append(WILD)
+        else:
+            if seg == "":
+                continue
+            if merged and merged[-1] is not WILD:
+                merged[-1] = merged[-1] + seg
+            else:
+                merged.append(seg)
+    return tuple(merged)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(["a", "bc", " ", "", WILD, WILD])))
+def test_from_segments_agrees_with_the_per_segment_reference(raw):
+    assert TemplateBody.from_segments(raw).segments == _from_segments_reference(raw)
