@@ -238,7 +238,7 @@ class _Parser:
         body = self.parse_block()
         return MethodDecl(
             name=name,
-            params=tuple(params.items()),
+            params=params,
             body=body,
             return_type=return_type,
             modifiers=mods,

@@ -107,32 +107,6 @@ class PathEnumeration:
 _Alt = tuple[tuple, tuple]
 
 
-def _step_class(unit: SourceUnit, method: MethodDecl, call: Call,
-                graph: CallGraph) -> str:
-    """Best-effort class name for a built-in or unresolved call step."""
-    recv = call.receiver
-    if recv is None:
-        return unit.fqn
-    if isinstance(recv, StrLit):
-        return "java.lang.String"
-    if isinstance(recv, Ident):
-        fqn = graph.resolve_class(unit, recv.name)
-        if fqn is not None:
-            return fqn
-        ptype = method.param_type(recv.name)
-        if ptype is not None:
-            tfqn = graph.resolve_class(unit, ptype)
-            if tfqn is not None:
-                return tfqn
-            if ptype in _JAVA_LANG_TYPES:
-                return f"java.lang.{ptype}"
-            return ptype
-        if recv.name[:1].isupper():
-            # unresolved class-looking receiver: report the raw name
-            return recv.name
-    return "java.lang.String"
-
-
 def _returns(stmt) -> bool:
     """Whether ``stmt`` is or holds a return statement."""
     if isinstance(stmt, If):
@@ -210,6 +184,33 @@ class _Tracer:
         else:
             raise TypeError(f"cannot trace {expr!r}")
 
+    def unresolved_step(self, call: Call, unit: SourceUnit, method: MethodDecl) -> PathStep:
+        """The step of a built-in or unresolved call.
+
+        Its class is the class a class-name receiver means; else a parameter
+        receiver's declared type, resolved, or in ``java.lang`` for a core
+        type; else a capitalised receiver's raw name; else ``java.lang.String``
+        (``unit``'s class for a bare call). A class-name receiver that means a
+        project file records that file, so the prompt shows that the method
+        is not declared there.
+        """
+        graph, recv = self.graph, call.receiver
+        class_fqn = unit.fqn if recv is None else "java.lang.String"
+        path = None
+        if isinstance(recv, Ident):
+            named = graph.resolve_class(unit, recv.name)
+            ptype = method.params.get(recv.name)
+            if named is not None:
+                named_unit = graph.units_by_fqn.get(named)
+                class_fqn, path = named, named_unit.path if named_unit else None
+            elif ptype is not None:
+                class_fqn = (graph.resolve_class(unit, ptype)
+                             or (f"java.lang.{ptype}" if ptype in _JAVA_LANG_TYPES else ptype))
+            elif recv.name[:1].isupper():
+                class_fqn = recv.name
+        kind = KIND_BUILTIN if call.method in self.builtins else KIND_UNKNOWN
+        return PathStep(class_fqn, expr_to_source(call), kind, path=path)
+
     def call(self, call: Call, unit: SourceUnit, method: MethodDecl,
              stack: tuple) -> Iterator[_Alt]:
         self.external = True
@@ -218,20 +219,10 @@ class _Tracer:
             self.truncated = True
             yield ((WILD,), ())
             return
-        graph = self.graph
-        target = graph.resolve_call(unit, call)
+        target = self.graph.resolve_call(unit, call)
         if target is None:
-            step = ()
-            if self.with_steps:
-                kind = KIND_BUILTIN if call.method in self.builtins else KIND_UNKNOWN
-                # a class-name receiver that means a project file records that
-                # file, so the prompt shows that the method is not declared there
-                named = (graph.units_by_fqn.get(graph.resolve_class(unit, call.receiver.name))
-                         if isinstance(call.receiver, Ident) else None)
-                step = (PathStep(_step_class(unit, method, call, graph),
-                                 expr_to_source(call), kind,
-                                 path=named.path if named else None),)
-            yield ((WILD,), step)
+            yield ((WILD,), (self.unresolved_step(call, unit, method),)
+                   if self.with_steps else ())
             return
 
         step = ()

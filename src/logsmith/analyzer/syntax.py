@@ -6,8 +6,9 @@ if/else statements, returns, string literals, identifiers, ``+``
 concatenation and method calls. No stage changes a tree once it is parsed.
 Units and methods are frozen; expression and statement nodes are not, since
 a frozen instance costs about twice as much to build and the parser builds
-one per node. Nothing hashes a node. The pretty printers below produce the
-canonical source text used in reports.
+one per node. Nothing hashes a node; a method cannot be hashed, as its
+parameters are a dict. The pretty printers below produce the canonical
+source text used in reports.
 """
 
 from __future__ import annotations
@@ -70,16 +71,10 @@ Stmt = If | Return | ExprStmt
 @dataclass(frozen=True, slots=True)
 class MethodDecl:
     name: str
-    params: tuple[tuple[str, str], ...]  # (name, declared type)
+    params: dict[str, str]  # name to declared type, in declaration order
     body: tuple["Stmt", ...]
     return_type: str = "void"
     modifiers: tuple[str, ...] = ()
-
-    def param_type(self, name: str) -> str | None:
-        for pname, ptype in self.params:
-            if pname == name:
-                return ptype
-        return None
 
 
 @dataclass(frozen=True, slots=True)
@@ -163,7 +158,7 @@ def method_to_source(decl: MethodDecl) -> str:
     """Render a method declaration as canonical source text (2-space indent)."""
     mods = " ".join(decl.modifiers)
     head = f"{mods} " if mods else ""
-    params = ", ".join(f"{ptype} {pname}" for pname, ptype in decl.params)
+    params = ", ".join(f"{ptype} {pname}" for pname, ptype in decl.params.items())
     lines = [f"{head}{decl.return_type} {decl.name}({params}) {{"]
     for stmt in decl.body:
         lines.extend(_stmt_lines(stmt, 1))

@@ -156,8 +156,7 @@ class ClusterTree:
         self.sim_threshold = sim_threshold
         self.max_children = max_children
         self.root: dict[int, _Node] = {}
-        self.clusters: list[Cluster] = []  # in creation order
-        self._next_id = 1
+        self.clusters: list[Cluster] = []  # in creation order: index i holds id i + 1
 
     def ingest(self, message: str) -> tuple[int, str]:
         """Cluster one message; returns (cluster_id, current template string)."""
@@ -205,8 +204,7 @@ class ClusterTree:
                             template[position] = CLUSTER_WILDCARD
                 return cluster.cluster_id, " ".join(template)
 
-        cluster = Cluster(self._next_id, tokens)
-        self._next_id += 1
+        cluster = Cluster(len(self.clusters) + 1, tokens)
         node.add(cluster)
         if len(clusters) == 2:
             node.index(self._free_positions(tokens))

@@ -2,7 +2,9 @@
 
 Each template compiles to a scan plan: prefix, inner constants, suffix and
 a minimum length per wildcard (>= 1 between constants, >= 0 at the template
-edges). A line matches when it starts with the prefix, ends with the suffix
+edges). A line is scanned without its edge whitespace, so the plan leaves
+out the template's: an edge constant of only whitespace is no edge
+constant. A line matches when it starts with the prefix, ends with the suffix
 and holds each inner constant at its leftmost place after the previous one;
 the text between is captured, and no capture may hold a newline. This
 accepts the lines, and yields the captures, of the non-greedy reference
@@ -170,6 +172,9 @@ def _entry(template_id: int, template: Template, text: str,
     suffix = middle[-1] if middle and middle[-1] is not WILD else ""
     if suffix:
         middle = middle[:-1]
+    # the edge whitespace goes, as the line's does; a lone constant has both edges
+    prefix = prefix.lstrip() if middle or suffix else prefix.strip()
+    suffix = suffix.rstrip()
     # What lies between the edge constants alternates wildcard, constant, ...
     # wildcard, so its constants are every second segment.
     inner_gap = 0 if allow_empty_inner else 1
@@ -231,7 +236,8 @@ def match_line(repo: CompiledRepository, line: str,
                tree: ClusterTree | None = None) -> MatchResult:
     """Match one line; on a miss, ingest it into the cluster tree if given.
 
-    The line's surrounding whitespace is ignored. An all-whitespace line
+    The line's surrounding whitespace is ignored, as the plans ignore the
+    templates'. An all-whitespace line
     can still match an edge-wildcard template; otherwise it raises
     EmptyMessage when a tree is present. Each index group is scanned in
     ``template_id`` order up to its first hit, then the floating templates

@@ -173,11 +173,10 @@ class Interpreter:
         return self._eval(site.args[0], site.unit, run, ())
 
 
-def compile_body(body: TemplateBody, allow_empty_inner: bool = False) -> re.Pattern:
-    """The reference regex of a template; the matcher's scan agrees with it."""
-    last = len(body.segments) - 1
+def _body_regex(segments, allow_empty_inner: bool) -> str:
+    last = len(segments) - 1
     parts = []
-    for i, segment in enumerate(body.segments):
+    for i, segment in enumerate(segments):
         if isinstance(segment, Wildcard):
             at_edge = i == 0 or i == last
             if at_edge or allow_empty_inner:
@@ -186,7 +185,24 @@ def compile_body(body: TemplateBody, allow_empty_inner: bool = False) -> re.Patt
                 parts.append("(.+?)")
         else:
             parts.append(re.escape(segment))
-    return re.compile("".join(parts))
+    return "".join(parts)
+
+
+def _trim_edges(segments: list) -> list:
+    """The segment list as the matcher plans it for a line stripped of its
+    edge whitespace: the template's edge whitespace goes too, and with it an
+    edge constant that held nothing else."""
+    if segments and isinstance(segments[0], str):
+        segments[0] = segments[0].lstrip()
+    if segments and isinstance(segments[-1], str):
+        segments[-1] = segments[-1].rstrip()
+    return [segment for segment in segments if segment != ""]
+
+
+def compile_body(body: TemplateBody, allow_empty_inner: bool = False) -> re.Pattern:
+    """The reference regex of a template, for a line stripped of its edge
+    whitespace; the matcher's scan agrees with it."""
+    return re.compile(_body_regex(_trim_edges(list(body.segments)), allow_empty_inner))
 
 
 def result_record(result) -> dict:
@@ -264,7 +280,7 @@ def _render(body: TemplateBody) -> str:
 
 def _reference_entry(template_id: int, template: Template,
                      allow_empty_inner: bool) -> CompiledEntry:
-    segments = list(template.body.segments)
+    segments = _trim_edges(list(template.body.segments))
     prefix = segments.pop(0) if segments and isinstance(segments[0], str) else ""
     suffix = segments.pop() if segments and isinstance(segments[-1], str) else ""
     inner_gap = 0 if allow_empty_inner else 1
@@ -330,8 +346,9 @@ def compile_reference(templates: list[Template],
 
 
 def matches(body, text: str) -> bool:
-    """Match a produced string against a template via the reference regex."""
-    return compile_body(body).fullmatch(text) is not None
+    """Whether a produced string is an instance of a template: the reference
+    regex of all its segments, edge whitespace included."""
+    return re.fullmatch(_body_regex(body.segments, False), text) is not None
 
 
 def check_agreement(units, site, enumeration) -> list[str]:

@@ -189,14 +189,14 @@ class _Parser:
         return_type = self.parse_type()
         name = self.expect("ident", "method name")[1]
         self.expect("(")
-        params = []
+        params = {}
         if not self.at(")"):
             while True:
                 ptype = self.parse_type()
                 pname = self.expect("ident", "parameter name")[1]
-                if any(existing == pname for existing, _ in params):
+                if pname in params:
                     raise self.error(f"duplicate parameter name {pname!r}")
-                params.append((pname, ptype))
+                params[pname] = ptype
                 if self.at(","):
                     self.pos += 1
                     continue
@@ -205,7 +205,7 @@ class _Parser:
         body = self.parse_block()
         return MethodDecl(
             name=name,
-            params=tuple(params),
+            params=params,
             body=body,
             return_type=return_type,
             modifiers=mods,

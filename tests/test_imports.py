@@ -24,6 +24,10 @@ second loop can grow around a gateway.
 Importing the CLI loads neither ``requests`` nor ``yaml``: a run pays for the
 HTTP client only when it sends over HTTP, and for the YAML parser only when
 it reads a config file.
+
+Every Python file of the package, the tests and the benchmark parses as
+Python 3.10, the oldest version the project supports, even where a newer
+interpreter runs the tests.
 """
 
 from __future__ import annotations
@@ -491,3 +495,21 @@ def test_cli_import_loads_neither_http_nor_yaml(tmp_path):
     assert run.returncode == 0, run.stderr
     # nothing at import; the config file is still read as YAML
     assert run.stdout == "[] {'workers': 2} True\n"
+
+
+PYTHON_FILES = sorted(path for folder in ("src", "tests", "perfbench")
+                      for path in (REPOSITORY / folder).rglob("*.py"))
+OLDEST_PYTHON = (3, 10)
+
+
+@pytest.mark.parametrize("path", PYTHON_FILES,
+                         ids=lambda path: str(path.relative_to(REPOSITORY)))
+def test_file_parses_as_the_oldest_supported_python(path):
+    ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=OLDEST_PYTHON)
+
+
+def test_oldest_python_check_rejects_newer_syntax():
+    assert PACKAGE / "cli.py" in PYTHON_FILES
+    with pytest.raises(SyntaxError, match="3.11"):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n",
+                  feature_version=OLDEST_PYTHON)

@@ -93,6 +93,21 @@ def test_match_line_strips_whitespace():
     assert match_line(repo, "task done").log_line == "task done"
 
 
+def test_template_edge_whitespace_is_ignored_like_the_lines():
+    repo = _repo("job <.*> done ", " <.*>left", "\tidle ")
+    # a whitespace-only edge constant is none, so the wildcard after it is at
+    # the edge and may be empty
+    for line, captures in [("job 7 done ", ("7",)), ("job 8 done", ("8",)),
+                           (" 3 left", ("3 ",)), ("left", ("",)), ("idle", ())]:
+        result = match_line(repo, line)
+        assert (result.matched, result.captures) == (True, captures), line
+    # the plan drops the edge whitespace, the rendered template keeps it
+    assert [entry.text for entry in repo.entries] == ["job <.*> done ", "\tidle ", " <.*>left"]
+    assert [(entry.prefix, entry.suffix, entry.gaps) for entry in repo.entries] == [
+        ("job ", " done", (1,)), ("idle", "", ()), ("", "left", (0,))]
+    assert repo.entries == compile_reference([entry.template for entry in repo.entries]).entries
+
+
 def test_miss_routes_to_tree():
     repo = _repo("known event")
     tree = ClusterTree()

@@ -31,10 +31,11 @@ def test_an_identifier_is_one_object_across_files():
                           "{ return userName; }\n}\n", "B.java")
     (a_run,), (b_run,) = first.methods, second.methods
     assert a_run.name is b_run.name
-    assert a_run.params[0][0] is b_run.params[0][0] is b_run.body[0].value.name
-    assert a_run.params[0][1] is b_run.return_type  # "String"
+    ((a_name, a_type),), ((b_name, _),) = a_run.params.items(), b_run.params.items()
+    assert a_name is b_name is b_run.body[0].value.name
+    assert a_type is b_run.return_type  # "String"
     (site,) = find_log_calls(first)
-    assert site.args[0].parts[1].name is b_run.params[0][0]
+    assert site.args[0].parts[1].name is b_name
 
 def test_parse_foo_listing():
     unit = parse_source((EXAMPLE_PROJECT / "Foo.java").read_text(), "Foo.java")
@@ -46,7 +47,7 @@ def test_parse_foo_listing():
     method = unit.methods[0]
     assert method.name == "logSomething"
     assert "static" not in method.modifiers
-    assert method.params == (("type", "String"),)
+    assert method.params == {"type": "String"}
     # one if/else holding the two logger calls
     assert len(method.body) == 1
     branch = method.body[0]
@@ -189,8 +190,10 @@ def test_nesting_is_bounded(shape):
 
 
 def _outcome(parse, text: str):
+    # the repr, since dicts compare equal in any order, and the order of a
+    # method's parameters counts
     try:
-        return parse(text, "X.java")
+        return repr(parse(text, "X.java"))
     except SourceSyntaxError as error:
         return str(error)
 

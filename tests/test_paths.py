@@ -342,7 +342,7 @@ def test_overloaded_enclosing_method_supplies_its_own_parameter_types():
         "package p;\n"
         "public class Aux {\n"
         "}\n")
-    assert site.method.params == (("a", "Aux"), ("b", "String"))
+    assert list(site.method.params.items()) == [("a", "Aux"), ("b", "String")]
     (path,) = enumerate_paths(site, graph).paths
     builtin_step = path.steps[-1]
     assert builtin_step.call_code == "a.name()"

@@ -4,7 +4,8 @@ Each row builds one input at size n and at 4n, runs the command on it
 in-process, and compares the CPU time (``time.process_time``) of the two
 runs. A linear stage grows about 4x, so the bound of 6x needs no figure for
 the host's speed, while a quadratic one grows about 16x. Each size takes the
-least of a few runs, which keeps a stray pause from reading as growth.
+least of a few runs, which keeps a stray pause from reading as growth, and
+the test session's heap is frozen out of the garbage collector meanwhile.
 
 The source-file rows run ``report``, which parses every file, traces each
 log call's paths and renders the textual and structured reports. The
@@ -20,6 +21,7 @@ template-body row ``TemplateBody.from_segments`` on n adjacent constants.
 
 from __future__ import annotations
 
+import gc
 import time
 
 import pytest
@@ -85,21 +87,35 @@ _SOURCE_FILE_ROWS = {
                         + " + ".join(f"C{i}.f(a)" for i in range(n)) + "); }",
                         "".join(f"import q.C{i};\n" for i in range(n))),
         250, EXIT_OK, False),
+    # each log call names the method's last parameter as a built-in's receiver,
+    # so the step's class is looked up among all n parameters n times
     "parameters of one method": (
         lambda n: _unit("  void f(" + ", ".join(f"String a{i}" for i in range(n))
-                        + ') { log.info("v=" + a0); }'),
+                        + ") {" + f' log.info("x" + a{n - 1}.trim());' * n + " }"),
         1_000, EXIT_OK, False),
 }
 
 
 def _least_cpu(run) -> float:
-    """The least CPU time of ``RUNS`` calls of ``run``."""
-    best = float("inf")
-    for _ in range(RUNS):
-        start = time.process_time()
-        run()
-        best = min(best, time.process_time() - start)
-    return best
+    """The least CPU time of ``RUNS`` calls of ``run``.
+
+    The objects alive before are frozen out of the garbage collector, so a
+    full collection during a run walks what the program made, as it would
+    in a process of its own, and not the whole test session's heap: that
+    walk cost 40-85 ms a time, and a run at 4n that made enough objects to
+    start one read as super-linear growth.
+    """
+    gc.collect()
+    gc.freeze()
+    try:
+        best = float("inf")
+        for _ in range(RUNS):
+            start = time.process_time()
+            run()
+            best = min(best, time.process_time() - start)
+        return best
+    finally:
+        gc.unfreeze()
 
 
 def _grows_linearly(shape: str, small: float, large: float) -> None:
